@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use synchrel_core::{Detector, EvalMode, Relation};
+use synchrel_core::{Detector, EvalMode, KernelTier, Relation};
 use synchrel_monitor::online::OnlineMonitor;
 use synchrel_obs::json::{u64_array, ObjectWriter};
 use synchrel_sim::fault::mix;
@@ -116,6 +116,8 @@ pub fn report_json(k: &KernelMeasurement, c: &ChurnMeasurement) -> String {
         .bool_field("dirty", super::git_dirty())
         .u64_field("workload_seed", k.seed)
         .u64_field("warmup_iters", WARMUP_ITERS)
+        .u64_field("available_cores", super::pairs::available_cores() as u64)
+        .str_field("kernel", KernelTier::detect().name())
         .str_field("workload", &k.workload)
         .u64_field("seed", k.seed)
         .u64_field("events", k.events as u64)
@@ -284,7 +286,8 @@ pub fn run_to(seed: u64, json_path: Option<&str>, churn_events: u64) -> String {
     ]);
     let mut out = t.render();
     out.push_str(&format!(
-        "\nbatched vs fused gate (>= {SPEEDUP_GATE:.1}x): {}\n",
+        "\nbatched vs fused gate (>= {SPEEDUP_GATE:.1}x, {} kernel): {}\n",
+        KernelTier::detect().name(),
         if k.speedup() >= SPEEDUP_GATE {
             "PASS"
         } else {
@@ -362,6 +365,8 @@ mod tests {
         assert!(json.contains("\"workload_seed\":7"), "{json}");
         assert!(json.contains("\"warmup_iters\":1"), "{json}");
         assert!(json.contains("\"speedup_ok\":"), "{json}");
+        assert!(json.contains("\"available_cores\":"), "{json}");
+        assert!(json.contains("\"kernel\":"), "{json}");
         assert!(json.contains("\"resident_max\":"), "{json}");
         assert!(is_valid(&json), "{json}");
     }

@@ -19,8 +19,9 @@
 //! The **scaling section** drives a generated large workload (default:
 //! 1024 intervals ≈ 1.05 M ordered pairs, grown by the hash-seeded
 //! deterministic generator, seed and size recorded in the artifact)
-//! through the batched kernel at [`SCALING_THREADS`] and gates on the
-//! 8-thread speedup — see [`min_speedup`] for the threshold rules.
+//! through the batched kernel at [`SCALING_THREADS`], [`SCALING_TRIALS`]
+//! times per point, and gates on the 8-thread speedup of the per-point
+//! medians — see [`min_speedup`] for the threshold rules.
 //!
 //! Every workload here comes from a deterministic generator (the
 //! `fault::mix` hash or a fixed topology), so the artifact is
@@ -33,7 +34,7 @@
 
 use std::time::Instant;
 
-use synchrel_core::{Detector, EvalMode};
+use synchrel_core::{Detector, EvalMode, KernelTier};
 use synchrel_obs::json::{array_of, f64_literal, u64_array, ObjectWriter};
 use synchrel_sim::workload::{self, Workload};
 
@@ -66,6 +67,11 @@ pub const MONOTONIC_TOLERANCE: f64 = 0.95;
 /// Environment variable overriding the scaling gate, for constrained
 /// runners: `SYNCHREL_SCALING_MIN_SPEEDUP=1.2 repro -- pairs`.
 pub const SCALING_ENV: &str = "SYNCHREL_SCALING_MIN_SPEEDUP";
+
+/// Timed trials per scaling thread point. The gate reads each point's
+/// median: on a shared machine one trial of the same code can land on
+/// either side of the bound.
+pub const SCALING_TRIALS: usize = 5;
 
 /// Intervals of the default scaling workload: 1024 intervals give
 /// 1024 × 1023 = 1 047 552 ordered pairs per sweep.
@@ -156,8 +162,13 @@ pub struct ScalingMeasurement {
     pub intervals: usize,
     /// Ordered pairs per full all-pairs sweep.
     pub pairs: usize,
-    /// Batched pairs/second, aligned with [`SCALING_THREADS`].
+    /// Median batched pairs/second over [`SCALING_TRIALS`] trials,
+    /// aligned with [`SCALING_THREADS`]; the gate reads these.
     pub batched_pps: Vec<f64>,
+    /// Slowest trial per thread point.
+    pub batched_pps_min: Vec<f64>,
+    /// Fastest trial per thread point.
+    pub batched_pps_max: Vec<f64>,
 }
 
 impl ScalingMeasurement {
@@ -204,7 +215,10 @@ impl ScalingMeasurement {
             .u64_field("pairs", self.pairs as u64)
             .u64_field("available_cores", cores as u64)
             .raw_field("threads", &u64_array(&threads))
+            .u64_field("trials", SCALING_TRIALS as u64)
             .raw_field("batched_pps", &f64_vec_json(&self.batched_pps))
+            .raw_field("batched_pps_min", &f64_vec_json(&self.batched_pps_min))
+            .raw_field("batched_pps_max", &f64_vec_json(&self.batched_pps_max))
             .raw_field("parallel_efficiency", &f64_vec_json(&self.efficiencies()))
             .f64_field("min_speedup", min_speedup)
             .f64_field("speedup", self.speedup())
@@ -242,6 +256,7 @@ pub fn report_json(
         .u64_field("workload_seed", seed)
         .u64_field("warmup_iters", WARMUP_ITERS)
         .u64_field("available_cores", cores as u64)
+        .str_field("kernel", KernelTier::detect().name())
         .u64_field("min_sweep_pairs", MIN_SWEEP_PAIRS as u64)
         .raw_field("thread_points", &u64_array(&points))
         .raw_field("rows", &array_of(rows.iter().map(PairsRow::to_json)))
@@ -347,7 +362,9 @@ fn measure(w: &Workload) -> (Vec<PairsRow>, Option<SkippedSweep>) {
 /// Measure the scaling section on a generated `intervals`-interval
 /// workload (16 processes × 64 events grown from `seed`). Parallel
 /// sweeps are checked byte-identical to the sequential kernel at every
-/// thread point before any timing is trusted.
+/// thread point before any timing is trusted. Each trial times every
+/// thread point once, so drift in the machine's load spreads over all
+/// points alike.
 fn measure_scaling(seed: u64, intervals: usize) -> ScalingMeasurement {
     let mut w = workload::seeded(seed, 16, 64, intervals, 8, 2);
     w.name = "seeded-scaling".to_string();
@@ -364,20 +381,28 @@ fn measure_scaling(seed: u64, intervals: usize) -> ScalingMeasurement {
     }
 
     let pairs = reference.len();
-    let batched_pps = SCALING_THREADS
-        .iter()
-        .map(|&t| {
-            sweeps_per_sec(|| {
-                batched.all_pairs_parallel(t);
-            }) * pairs as f64
-        })
-        .collect();
+    let mut samples = vec![Vec::with_capacity(SCALING_TRIALS); SCALING_THREADS.len()];
+    for _ in 0..SCALING_TRIALS {
+        for (point, &t) in samples.iter_mut().zip(&SCALING_THREADS) {
+            point.push(
+                sweeps_per_sec(|| {
+                    batched.all_pairs_parallel(t);
+                }) * pairs as f64,
+            );
+        }
+    }
+    for point in &mut samples {
+        point.sort_by(f64::total_cmp);
+    }
+    let pick = |k: usize| samples.iter().map(|p| p[k]).collect();
     ScalingMeasurement {
         workload: w.name,
         seed,
         intervals,
         pairs,
-        batched_pps,
+        batched_pps: pick(SCALING_TRIALS / 2),
+        batched_pps_min: pick(0),
+        batched_pps_max: pick(SCALING_TRIALS - 1),
     }
 }
 
@@ -463,16 +488,24 @@ pub fn run_to(seed: u64, json_path: Option<&str>, scaling_intervals: usize) -> S
     }
 
     out.push_str(&format!(
-        "\n\nscaling: {} — {} intervals, {} pairs (seed {}, {} cores)\n",
-        scaling.workload, scaling.intervals, scaling.pairs, scaling.seed, cores
+        "\n\nscaling: {} — {} intervals, {} pairs (seed {}, {} cores, {} kernel), \
+         median of {} trials\n",
+        scaling.workload,
+        scaling.intervals,
+        scaling.pairs,
+        scaling.seed,
+        cores,
+        KernelTier::detect().name(),
+        SCALING_TRIALS
     ));
-    for ((&t, &pps), eff) in SCALING_THREADS
+    for (k, (&t, eff)) in SCALING_THREADS
         .iter()
-        .zip(&scaling.batched_pps)
         .zip(scaling.efficiencies())
+        .enumerate()
     {
         out.push_str(&format!(
-            "  batched ×{t}: {pps:.0} p/s (efficiency {eff:.2})\n"
+            "  batched ×{t}: {:.0} p/s ({:.0}–{:.0}, efficiency {eff:.2})\n",
+            scaling.batched_pps[k], scaling.batched_pps_min[k], scaling.batched_pps_max[k]
         ));
     }
     out.push_str(&format!(
@@ -541,6 +574,10 @@ mod tests {
         assert_eq!(s.pairs, 24 * 23);
         assert_eq!(s.batched_pps.len(), SCALING_THREADS.len());
         assert!(s.batched_pps.iter().all(|&p| p > 0.0));
+        for k in 0..SCALING_THREADS.len() {
+            assert!(s.batched_pps_min[k] <= s.batched_pps[k]);
+            assert!(s.batched_pps[k] <= s.batched_pps_max[k]);
+        }
         assert_eq!(s.efficiencies().len(), SCALING_THREADS.len());
         assert!((s.efficiencies()[0] - 1.0).abs() < 1e-9);
         assert!(s.speedup() > 0.0);
@@ -554,6 +591,8 @@ mod tests {
             intervals: 4,
             pairs: 12,
             batched_pps: vec![100.0, 98.0, 97.0, 96.0],
+            batched_pps_min: vec![],
+            batched_pps_max: vec![],
         };
         // Flat-with-noise is fine on 1 core (only the floor applies)…
         assert!(s.monotonic_ok(1));
@@ -593,9 +632,13 @@ mod tests {
             "\"workload_seed\":7",
             "\"warmup_iters\":1",
             "\"available_cores\":",
+            "\"kernel\":",
             "\"parallel_efficiency\":",
             "\"skipped_sweeps\":",
             "\"scaling\":",
+            "\"trials\":5",
+            "\"batched_pps_min\":",
+            "\"batched_pps_max\":",
             "\"min_speedup\":",
             "\"monotonic_ok\":",
             "\"scaling_ok\":",

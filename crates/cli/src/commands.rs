@@ -4,8 +4,8 @@ use std::error::Error;
 use std::process::ExitCode;
 
 use synchrel_core::{
-    strongest, CompareCounter, Detector, Diagram, EvalMode, Evaluator, Execution, MeterSnapshot,
-    NonatomicEvent, Proxy, ProxyRelation, Relation,
+    pair_slot, strongest, CompareCounter, Detector, Diagram, EvalMode, Evaluator, Execution,
+    MeterSnapshot, NonatomicEvent, Proxy, ProxyRelation, Relation,
 };
 use synchrel_monitor::differential::{run_case, run_seeds, shrink, DiffCase, Mismatch};
 use synchrel_monitor::predicate::{possibly_overlap, LocalInterval};
@@ -40,12 +40,13 @@ commands:
   render <trace.json>    ASCII space-time diagram
   query <trace.json> <X> <Y> [REL]
                          evaluate one or all Table-1 relations
-  analyze <trace.json> [--threads N] [--mode fused|exact|batched|incremental]
+  analyze <trace.json> [--threads N] [--mode batched|fused|exact|incremental]
       [--tile W] [--metrics metrics.prom|metrics.json]
                          strongest relation for every event pair
-                         (fused kernel by default; exact mode reports
-                         the per-relation Theorem-20 comparison counts;
-                         batched sweeps the shared SoA summary arena;
+                         (batched by default: block sweeps over the
+                         shared SoA summary arena; fused evaluates pair
+                         by pair; exact mode reports the per-relation
+                         Theorem-20 comparison counts;
                          incremental replays the event stream through
                          the stateful O(delta) detector; --tile sets
                          the cache-block width of tiled sweeps,
@@ -324,7 +325,7 @@ fn analyze(a: &Args) -> Result<ExitCode, AnyError> {
     let names: Vec<String> = intervals.iter().map(|(n, _)| n.clone()).collect();
     let events: Vec<NonatomicEvent> = intervals.into_iter().map(|(_, e)| e).collect();
     let threads: usize = a.num("threads", 4)?;
-    let mode = parse_mode(a.opt("mode").unwrap_or("fused"))?;
+    let mode = parse_mode(a.opt("mode").unwrap_or("batched"))?;
     let tile: usize = a.num("tile", synchrel_core::DEFAULT_TILE)?;
     let d = Detector::new(&exec, events).with_mode(mode).with_tile(tile);
     let counter = CompareCounter::new();
@@ -346,10 +347,7 @@ fn analyze(a: &Args) -> Result<ExitCode, AnyError> {
                 print!("{:>width$}", "—");
                 continue;
             }
-            let rep = reports
-                .iter()
-                .find(|r| r.x == i && r.y == j)
-                .expect("full matrix");
+            let rep = &reports[pair_slot(names.len(), i, j)];
             let held: Vec<Relation> = Relation::ALL
                 .into_iter()
                 .filter(|&rel| {

@@ -104,36 +104,50 @@ fn query_exit_codes() {
 
 #[test]
 fn analyze_shows_matrix() {
+    // 100 clients × 2 requests: 200 intervals, 39 800 ordered pairs.
     let dir = tmpdir();
     let trace = dir.join("cs.json");
     gen(&[
         "gen",
         "client-server",
         "--clients",
-        "2",
+        "100",
         "--requests",
         "2",
         "-o",
         trace.to_str().unwrap(),
     ]);
-    let o = run(&["analyze", trace.to_str().unwrap()]);
-    assert!(o.status.success());
-    let s = stdout(&o);
-    assert!(s.contains("txn_c1_r0"), "{s}");
-    assert!(s.contains("comparisons"), "{s}");
+    let analyze = |mode: Option<&str>| {
+        let mut args = vec!["analyze", trace.to_str().unwrap()];
+        args.extend(mode.map(|m| ["--mode", m]).into_iter().flatten());
+        let o = run(&args);
+        assert!(o.status.success(), "{mode:?}: {}", stdout(&o));
+        stdout(&o)
+    };
+    let s = analyze(None);
+    assert!(s.contains("txn_c100_r1"), "{s}");
+    assert!(s.contains("39800 pairs × 32 relations"), "{s}");
 
-    // The incremental engine must print the same relation matrix
-    // (comparison counts legitimately differ between kernels).
-    let inc = run(&["analyze", trace.to_str().unwrap(), "--mode", "incremental"]);
-    assert!(inc.status.success(), "{}", stdout(&inc));
-    let si = stdout(&inc);
+    // The default is the batched kernel, and the fused kernel prints
+    // byte-identical output, comparison total included.
+    assert_eq!(s, analyze(Some("batched")), "default is not batched");
+    assert_eq!(s, analyze(Some("fused")), "fused and batched diverged");
+
+    // Every mode prints the same relation matrix (comparison counts
+    // legitimately differ between kernels).
     let matrix = |t: &str| {
         t.lines()
             .take_while(|l| !l.contains("comparisons"))
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(matrix(&s), matrix(&si), "incremental matrix diverged");
+    for mode in ["exact", "incremental"] {
+        assert_eq!(
+            matrix(&s),
+            matrix(&analyze(Some(mode))),
+            "{mode} matrix diverged"
+        );
+    }
 }
 
 #[test]

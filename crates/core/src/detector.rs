@@ -75,6 +75,15 @@ pub struct PairReport {
     pub comparisons: u64,
 }
 
+/// Index of the ordered pair `(x, y)`, `x ≠ y`, in an all-pairs result
+/// over `n` events ([`Detector::all_pairs`]): x-major with the diagonal
+/// skipped, so row `x` fills `x·(n−1) .. (x+1)·(n−1)`.
+#[inline]
+pub fn pair_slot(n: usize, x: usize, y: usize) -> usize {
+    debug_assert!(x != y && x < n && y < n, "pair ({x}, {y}) of {n}");
+    x * (n - 1) + y - usize::from(y > x)
+}
+
 /// Relation detector over a fixed execution and event set (Problem 4).
 ///
 /// Every ordered pair `X ≠ Y` is evaluated, including pairs whose
@@ -452,7 +461,7 @@ impl IncrSweep {
     }
 
     fn get(&self, x: usize, y: usize) -> (RelationSet, u64) {
-        let k = x * (self.n - 1) + y - usize::from(y > x);
+        let k = pair_slot(self.n, x, y);
         (self.sets[k], self.comps[k])
     }
 }
@@ -509,6 +518,7 @@ fn batched_sweep<M: Meter>(
                 // dispatched exclusively (or run single-threaded), so
                 // slab `x` has no other writer.
                 let slab = unsafe { slabs.item_mut(x) };
+                let row_start = x * (n - 1);
                 for (y, &relations) in ys.clone().zip(row) {
                     if y == x {
                         continue;
@@ -517,7 +527,7 @@ fn batched_sweep<M: Meter>(
                     if meter.enabled() {
                         meter.on_pair(comparisons);
                     }
-                    slab[y - usize::from(y > x)].write(PairReport {
+                    slab[pair_slot(n, x, y) - row_start].write(PairReport {
                         x,
                         y,
                         relations,

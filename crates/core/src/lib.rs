@@ -109,7 +109,7 @@ pub use synchrel_obs::{CompareCounter, Meter, MeterSnapshot, NoopMeter};
 
 pub use codec::{CodecError, Reader, Writer};
 pub use cut::{ll, not_ll, Cut, EventSet, LlForm};
-pub use detector::{Detector, EvalMode, PairReport};
+pub use detector::{pair_slot, Detector, EvalMode, PairReport};
 pub use diagram::Diagram;
 pub use error::{Error, Result};
 pub use execution::{Event, EventId, EventKind, Execution, ExecutionBuilder, MsgToken, ProcessId};
@@ -119,7 +119,9 @@ pub use linear::{sound_bound, theorem20_bound, ComparisonCount, Evaluator, Event
 pub use nonatomic::{NonatomicEvent, ProxyDefinition};
 pub use oracle::Oracle;
 pub use pastfuture::{causal_past, ccf, condensation, condense_into, CondensationKind};
-pub use proxy_relations::{naive_proxy, Proxy, ProxyRelation, ProxySummary, RelationSet};
+pub use proxy_relations::{
+    naive_proxy, KernelTier, Proxy, ProxyRelation, ProxySummary, RelationSet,
+};
 pub use relations::{naive as naive_relation, proxy_baseline, Relation};
 pub use settle::{settles, Side};
 pub use thm19::{eval_now, CutSummary, Extreme};
@@ -132,7 +134,7 @@ pub mod prelude {
     pub use synchrel_obs::{CompareCounter, Meter, MeterSnapshot, NoopMeter};
 
     pub use crate::cut::{ll, not_ll, Cut, EventSet, LlForm};
-    pub use crate::detector::{Detector, EvalMode, PairReport};
+    pub use crate::detector::{pair_slot, Detector, EvalMode, PairReport};
     pub use crate::diagram::Diagram;
     pub use crate::error::{Error, Result};
     pub use crate::execution::{

@@ -507,6 +507,70 @@ fn scan_y_side(lo: [u32; 2], c2: [u32; 2], c3: [&[u32]; 2], c4: [&[u32]; 2], acc
     }
 }
 
+/// The instruction-set build [`SummaryArena::eval_block`] runs on. The
+/// kernel has one scalar source, compiled once for the baseline target
+/// and once more with AVX-512 enabled; the wider build is chosen at run
+/// time when the CPU has it. Both builds give identical answers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KernelTier {
+    /// The baseline-target build: the reference, and the only build
+    /// off x86-64.
+    Portable,
+    /// The same source compiled for AVX-512 F/BW/VL and AVX2 (x86-64).
+    Avx512,
+}
+
+impl KernelTier {
+    /// The tier [`SummaryArena::eval_block`] runs on this CPU.
+    pub fn detect() -> KernelTier {
+        if avx512_detected() {
+            KernelTier::Avx512
+        } else {
+            KernelTier::Portable
+        }
+    }
+
+    /// Name recorded in benchmark artifacts: `portable` or `avx512`.
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelTier::Portable => "portable",
+            KernelTier::Avx512 => "avx512",
+        }
+    }
+}
+
+/// Does this CPU have every feature the AVX-512 build is compiled for?
+#[cfg(target_arch = "x86_64")]
+fn avx512_detected() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vl")
+        && is_x86_feature_detected!("avx2")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn avx512_detected() -> bool {
+    false
+}
+
+/// Transpose the row-major `rows × cols` matrix `src` into `dst`
+/// (`cols × rows`) in 8×8 tiles, so each tile's reads and writes stay
+/// within a few cache lines.
+#[inline(always)]
+fn transpose(src: &[u32], rows: usize, cols: usize, dst: &mut [u32]) {
+    const T: usize = 8;
+    let (src, dst) = (&src[..rows * cols], &mut dst[..rows * cols]);
+    for r0 in (0..rows).step_by(T) {
+        for c0 in (0..cols).step_by(T) {
+            for r in r0..(r0 + T).min(rows) {
+                for c in c0..(c0 + T).min(cols) {
+                    dst[c * rows + r] = src[r * cols + c];
+                }
+            }
+        }
+    }
+}
+
 impl SummaryArena {
     /// Block kernel: evaluate every pair of the X block `xs` × Y block
     /// `ys` and write each pair's [`RelationSet`] into `out`, x-major
@@ -529,11 +593,49 @@ impl SummaryArena {
     ///   over the Y block's `C1`/`C2` rows at node `i`;
     /// * **`N_Y` side:** the transpose — for each Y and `j ∈ N_Y`, one
     ///   unit-stride pass over the X block's `C3`/`C4` rows at node `j`,
-    ///   into a y-major scratch block that the final merge reads back.
+    ///   into a y-major scratch block;
+    /// * **merge:** the scratch block is transposed to x-major in 8×8
+    ///   tiles, then each X row is merged with unit stride against its
+    ///   `N_Y` words and the block's hoisted `|N_Y|` row.
     ///
     /// Each pass evaluates all four proxy combos into one `u32` word per
-    /// pair with branch-free compares, which the compiler auto-vectorizes.
+    /// pair with branch-free compares, which the compiler auto-vectorizes
+    /// for the [`KernelTier`] chosen from the CPU.
     pub fn eval_block(&self, xs: Range<usize>, ys: Range<usize>, out: &mut [RelationSet]) {
+        self.eval_block_on(KernelTier::detect(), xs, ys, out);
+    }
+
+    /// [`SummaryArena::eval_block`] on the build `tier`; a tier the CPU
+    /// lacks runs the portable build.
+    fn eval_block_on(
+        &self,
+        tier: KernelTier,
+        xs: Range<usize>,
+        ys: Range<usize>,
+        out: &mut [RelationSet],
+    ) {
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512 if avx512_detected() => {
+                // SAFETY: `avx512_detected` has just confirmed that this
+                // CPU has every feature `eval_block_avx512` enables.
+                unsafe { self.eval_block_avx512(xs, ys, out) }
+            }
+            _ => self.eval_block_body(xs, ys, out),
+        }
+    }
+
+    /// The kernel body compiled for AVX-512. Callers must first check
+    /// `avx512_detected`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx2")]
+    fn eval_block_avx512(&self, xs: Range<usize>, ys: Range<usize>, out: &mut [RelationSet]) {
+        self.eval_block_body(xs, ys, out);
+    }
+
+    /// The one source of the block kernel, inlined into each build.
+    #[inline(always)]
+    fn eval_block_body(&self, xs: Range<usize>, ys: Range<usize>, out: &mut [RelationSet]) {
         let (bx, by) = (xs.len(), ys.len());
         assert!(
             xs.end <= self.len() && ys.end <= self.len() && out.len() == bx * by,
@@ -565,7 +667,8 @@ impl SummaryArena {
                 );
             }
         }
-        let mut y_major = vec![0u32; by * bx];
+        let mut scratch = vec![0u32; 2 * bx * by];
+        let (y_major, x_major) = scratch.split_at_mut(bx * by);
         for (y, acc) in ys.clone().zip(y_major.chunks_exact_mut(bx)) {
             for &j in self.nodes(y) {
                 let j = usize::from(j);
@@ -578,11 +681,16 @@ impl SummaryArena {
                 );
             }
         }
-        for (xr, (x, row)) in xs.zip(out.chunks_exact_mut(by)).enumerate() {
+        transpose(y_major, by, bx, x_major);
+        let ny: Vec<u32> = ys.map(|y| self.node_count(y)).collect();
+        for ((x, row), wys) in xs
+            .zip(out.chunks_exact_mut(by))
+            .zip(x_major.chunks_exact(by))
+        {
             let nx = self.node_count(x);
-            for (yr, (y, r)) in ys.clone().zip(row).enumerate() {
-                let (wx, wy) = (r.0, y_major[yr * bx + xr]);
-                let short = if nx <= self.node_count(y) { wx } else { wy };
+            for ((r, &wy), &ny) in row.iter_mut().zip(wys).zip(&ny) {
+                let wx = r.0;
+                let short = if nx <= ny { wx } else { wy };
                 let w = ((wx & X_SIDE) | (wy & Y_SIDE) | (short & SHORT_SIDE)) ^ VIOLATIONS;
                 // R1' and R4' repeat R1 and R4.
                 *r = RelationSet(w | (w & SHORT_SIDE) << 1);
@@ -748,6 +856,18 @@ mod tests {
         assert_eq!(cmp, 4 * (2 * nx + 2 * ny + 2 * nx.min(ny)));
     }
 
+    /// The kernel builds this CPU runs, portable first. Printed, so a
+    /// test log shows whether the AVX-512 build was covered.
+    fn kernel_tiers(test: &str) -> Vec<KernelTier> {
+        let mut tiers = vec![KernelTier::Portable];
+        if KernelTier::detect() != KernelTier::Portable {
+            tiers.push(KernelTier::detect());
+        }
+        let names: Vec<&str> = tiers.iter().map(|t| t.name()).collect();
+        println!("{test}: kernel tiers {}", names.join(", "));
+        tiers
+    }
+
     #[test]
     fn batched_matches_fused_exhaustive_including_overlap() {
         // Unlike the disjoint-only exhaustive tests above, this covers
@@ -770,18 +890,22 @@ mod tests {
         let summaries: Vec<ProxySummary> = events.iter().map(|x| ev.summarize_proxies(x)).collect();
         let arena = SummaryArena::build(e.num_processes(), summaries.iter());
         let n = events.len();
-        let mut block = vec![RelationSet::empty(); n * n];
-        arena.eval_block(0..n, 0..n, &mut block);
-        for x in 0..n {
-            for y in 0..n {
-                let (fused, cmp) = ev.eval_all_proxy_fused(&summaries[x], &summaries[y]);
-                assert_eq!(block[x * n + y], fused, "verdicts on pair ({x}, {y})");
-                assert_eq!(arena.eval_pair(x, y), fused, "1×1 block ({x}, {y})");
-                assert_eq!(
-                    arena.pair_comparisons(x, y),
-                    cmp,
-                    "comparisons on pair ({x}, {y})"
-                );
+        for tier in kernel_tiers("batched_matches_fused_exhaustive_including_overlap") {
+            let mut block = vec![RelationSet::empty(); n * n];
+            arena.eval_block_on(tier, 0..n, 0..n, &mut block);
+            for x in 0..n {
+                for y in 0..n {
+                    let (fused, cmp) = ev.eval_all_proxy_fused(&summaries[x], &summaries[y]);
+                    assert_eq!(block[x * n + y], fused, "{tier:?}: pair ({x}, {y})");
+                    let mut one = [RelationSet::empty()];
+                    arena.eval_block_on(tier, x..x + 1, y..y + 1, &mut one);
+                    assert_eq!(one[0], fused, "{tier:?}: 1×1 block ({x}, {y})");
+                    assert_eq!(
+                        arena.pair_comparisons(x, y),
+                        cmp,
+                        "comparisons on pair ({x}, {y})"
+                    );
+                }
             }
         }
     }
@@ -831,33 +955,42 @@ mod tests {
                     .0
             })
             .collect();
-        let check = |xs: Range<usize>, ys: Range<usize>| {
-            // Prefilled with junk: the kernel must overwrite every slot.
-            let mut out = vec![RelationSet(u32::MAX); xs.len() * ys.len()];
-            arena.eval_block(xs.clone(), ys.clone(), &mut out);
-            for (k, got) in out.iter().enumerate() {
-                let (x, y) = (xs.start + k / ys.len(), ys.start + k % ys.len());
-                assert_eq!(*got, want[x * n + y], "pair ({x}, {y}) of {xs:?} × {ys:?}");
-            }
-        };
-        for edge in [1, 7, 64, n + 13] {
-            for x0 in (0..n).step_by(edge) {
-                for y0 in (0..n).step_by(edge) {
-                    check(x0..(x0 + edge).min(n), y0..(y0 + edge).min(n));
+        for tier in kernel_tiers("block_shapes_match_fused") {
+            let check = |xs: Range<usize>, ys: Range<usize>| {
+                // Prefilled with junk: the kernel must overwrite every slot.
+                let mut out = vec![RelationSet(u32::MAX); xs.len() * ys.len()];
+                arena.eval_block_on(tier, xs.clone(), ys.clone(), &mut out);
+                for (k, got) in out.iter().enumerate() {
+                    let (x, y) = (xs.start + k / ys.len(), ys.start + k % ys.len());
+                    assert_eq!(
+                        *got,
+                        want[x * n + y],
+                        "{tier:?}: pair ({x}, {y}) of {xs:?} × {ys:?}"
+                    );
+                }
+            };
+            for edge in [1, 7, 64, n + 13] {
+                for x0 in (0..n).step_by(edge) {
+                    for y0 in (0..n).step_by(edge) {
+                        check(x0..(x0 + edge).min(n), y0..(y0 + edge).min(n));
+                    }
                 }
             }
-        }
-        // Misaligned and non-square blocks across the diagonal, and
-        // empty ones.
-        for (xs, ys) in [
-            (3..10, 5..12),
-            (60..61, 0..150),
-            (0..150, 149..150),
-            (40..104, 70..75),
-            (10..10, 0..5),
-            (0..5, 7..7),
-        ] {
-            check(xs, ys);
+            // Misaligned and non-square blocks across the diagonal, and
+            // empty ones; 9×13 and 17×3 leave partial 8×8 transpose tiles
+            // on both edges.
+            for (xs, ys) in [
+                (3..10, 5..12),
+                (60..61, 0..150),
+                (0..150, 149..150),
+                (40..104, 70..75),
+                (10..10, 0..5),
+                (0..5, 7..7),
+                (20..29, 90..103),
+                (100..117, 1..4),
+            ] {
+                check(xs, ys);
+            }
         }
     }
 

@@ -12,7 +12,7 @@ use std::fmt;
 use std::sync::{Arc, PoisonError, RwLock};
 
 use synchrel_core::{
-    naive_relation, EvalMode, Evaluator, Execution, IncrementalDetector, NonatomicEvent,
+    naive_relation, pair_slot, EvalMode, Evaluator, Execution, IncrementalDetector, NonatomicEvent,
     ProxyRelation, ProxySummary, Relation, RelationSet, RowSlabs, SummaryArena, TilePartition,
 };
 
@@ -112,8 +112,7 @@ impl IncrMatrix {
     }
 
     fn get(&self, x: usize, y: usize) -> RelationSet {
-        debug_assert!(x != y && x < self.n && y < self.n);
-        self.sets[x * (self.n - 1) + y - usize::from(y > x)]
+        self.sets[pair_slot(self.n, x, y)]
     }
 }
 
