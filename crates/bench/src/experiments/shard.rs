@@ -1,19 +1,21 @@
-//! E-Shard — sharded-monitor scaling: one seeded churn workload driven
-//! through [`ShardedMonitor`] at K ∈ {1, 2, 4, 8} shards and through a
-//! plain [`OnlineMonitor`] as the unsharded reference.
+//! E-Shard — sharded-serving scaling: one seeded churn workload driven
+//! through [`ShardedServer`] (over in-memory storage) at
+//! K ∈ {1, 2, 4, 8} shards and through a plain [`OnlineMonitor`] as
+//! the unsharded reference.
 //!
 //! The workload models the deployment the shard map was built for:
 //! processes arrive in **groups** that message each other heavily and
 //! rarely talk across group boundaries. Groups are co-located on
 //! shards via [`ShardMap::with_process_groups`], so almost every event
-//! is shard-local and the per-batch apply
-//! ([`ShardedMonitor::ingest_batch_parallel`]) runs the shards on
-//! their own threads; the few cross-group messages force the
-//! Theorem-19 coordinator to ship send clocks between shards at batch
-//! boundaries. Intervals churn (each group's label closes and a fresh
-//! one opens every `per_interval` events) and consecutive intervals
-//! carry watches, so the final verdict set exercises the cross-shard
-//! merged-summary evaluation, not just ingestion.
+//! is shard-local. Each batch goes to the facade the way the socket
+//! tier sends it: its ingests and then its closes in one
+//! [`ShardedServer::handle_batch`] (which logs each shard's ingests on
+//! that shard's own thread), then a [`ShardedServer::drain`]. The few
+//! cross-group messages force the Theorem-19 coordinator to ship send
+//! clocks between shards. Intervals churn (each group's label closes
+//! and a fresh one opens every `per_interval` events) and consecutive
+//! intervals carry watches, so the final verdict set exercises the
+//! cross-shard merged-summary evaluation, not just ingestion.
 //!
 //! Two facts gate `shard_ok` (grep'd by CI):
 //!
@@ -30,9 +32,12 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use synchrel_core::Relation;
+use synchrel_monitor::differential::WireReport;
 use synchrel_monitor::online::{OnlineMonitor, Verdict, WireEvent};
-use synchrel_monitor::shard::{ShardMap, ShardedMonitor};
+use synchrel_monitor::shard::ShardMap;
 use synchrel_obs::json::{array_of, u64_array, ObjectWriter};
+use synchrel_serve::proto::{decode_frame, decode_response, make_req, request_frame};
+use synchrel_serve::{Command, Response, ServerConfig, ShardedServer, SyncMemStorage};
 use synchrel_sim::fault::mix;
 
 use super::pairs::{available_cores, SCALING_EFFICIENCY_FLOOR, SCALING_SPEEDUP_CAP};
@@ -79,7 +84,7 @@ pub struct WorkloadConfig {
     pub target_events: usize,
     /// Intervals each group lives through.
     pub intervals_per_group: usize,
-    /// Events per [`ShardedMonitor::ingest_batch_parallel`] call.
+    /// Events per [`ShardedServer::handle_batch`] call.
     pub batch: usize,
     /// Percent of sends addressed to another group (cross-shard
     /// transfer pressure).
@@ -123,7 +128,7 @@ fn env_u64(key: &str, default: u64) -> u64 {
 
 /// One ingest batch plus the interval closes due once it has applied.
 struct Batch {
-    reports: Vec<(usize, u64, WireEvent, Vec<String>)>,
+    reports: Vec<WireReport>,
     closes: Vec<String>,
 }
 
@@ -260,22 +265,64 @@ fn run_unsharded(w: &Workload) -> (Vec<(String, Verdict)>, u64, f64) {
     (m.verdicts(), m.stats().applied, eps)
 }
 
-/// Drive the stream through a K-shard [`ShardedMonitor`]. Returns
-/// `(verdicts, applied, events/sec)`.
+/// Drive the stream through a K-shard [`ShardedServer`] over
+/// in-memory storage. Every frame is encoded before the clock starts;
+/// each batch's ingests and closes then go out in one `handle_batch`,
+/// followed by a drain. The ingest queues hold a whole batch, so every
+/// response must be an `Ack`. Returns `(verdicts, applied,
+/// events/sec)`.
 fn run_sharded(w: &Workload, k: usize) -> (Vec<(String, Verdict)>, u64, f64) {
-    let mut m = ShardedMonitor::with_map(ShardMap::with_process_groups(k, &w.group_of));
+    let mut cfg = ServerConfig::new(w.processes);
+    cfg.queue_capacity = w.batches.iter().map(|b| b.reports.len()).max().unwrap_or(0);
+    let storages = (0..k).map(|_| SyncMemStorage::new()).collect();
+    let map = ShardMap::with_process_groups(k, &w.group_of);
+    let mut srv = ShardedServer::recover(storages, &cfg, map).expect("fresh shards recover");
+    let mut next = 0;
+    let mut frame = |cmd: Command| {
+        next += 1;
+        request_frame(make_req(1, next - 1), &cmd)
+    };
+    let mut responses = Vec::new();
     for (name, rel, x, y) in &w.watches {
-        m.watch(name, *rel, x, y);
+        responses.push(srv.handle_bytes(&frame(Command::Watch {
+            name: name.clone(),
+            rel: *rel,
+            x: x.clone(),
+            y: y.clone(),
+        })));
     }
+    let batches: Vec<Vec<Vec<u8>>> = w
+        .batches
+        .iter()
+        .map(|b| {
+            let ingests = b
+                .reports
+                .iter()
+                .map(|(p, seq, ev, labels)| Command::Ingest {
+                    process: *p,
+                    seq: *seq,
+                    event: ev.clone(),
+                    labels: labels.clone(),
+                });
+            let closes = b.closes.iter().map(|l| Command::Close { label: l.clone() });
+            ingests.chain(closes).map(&mut frame).collect()
+        })
+        .collect();
+
     let t0 = Instant::now();
-    for b in &w.batches {
-        m.ingest_batch_parallel(&b.reports).expect("sharded ingest");
-        for l in &b.closes {
-            m.close(l);
-        }
+    for b in &batches {
+        responses.extend(srv.handle_batch(b));
+        srv.drain(0);
     }
     let eps = w.events as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-    (m.verdicts(), m.stats().applied, eps)
+
+    for r in &responses {
+        let bytes = r.as_ref().expect("the facade answers every frame");
+        let frame = decode_frame(bytes).expect("response frame decodes");
+        let resp = decode_response(&frame.payload).expect("response decodes");
+        assert_eq!(resp, Response::Ack, "request {} refused", frame.req);
+    }
+    (srv.verdicts(), srv.monitor_stats().applied, eps)
 }
 
 /// Throughput and equivalence of one shard-count point.
@@ -374,7 +421,7 @@ pub fn measure(seed: u64, cfg: WorkloadConfig) -> ShardMeasurement {
 pub fn report_json(m: &ShardMeasurement, gate: f64) -> String {
     let points: Vec<u64> = SHARD_POINTS.iter().map(|&k| k as u64).collect();
     ObjectWriter::new()
-        .str_field("schema", "synchrel/BENCH_shard/v1")
+        .str_field("schema", "synchrel/BENCH_shard/v2")
         .str_field("git_rev", &super::git_rev())
         .bool_field("dirty", super::git_dirty())
         .u64_field("workload_seed", m.seed)
@@ -490,7 +537,7 @@ mod tests {
     fn report_is_valid_json() {
         let m = measure(7, WorkloadConfig::small());
         let json = report_json(&m, 0.0);
-        assert!(json.starts_with("{\"schema\":\"synchrel/BENCH_shard/v1\""));
+        assert!(json.starts_with("{\"schema\":\"synchrel/BENCH_shard/v2\""));
         assert!(json.contains("\"git_rev\":"), "{json}");
         assert!(json.contains("\"workload_seed\":7"), "{json}");
         assert!(json.contains("\"shard_ok\":true"), "{json}");

@@ -7,7 +7,7 @@ use synchrel_core::{
     pair_slot, strongest, CompareCounter, Detector, Diagram, EvalMode, Evaluator, Execution,
     MeterSnapshot, NonatomicEvent, Proxy, ProxyRelation, Relation,
 };
-use synchrel_monitor::differential::{run_case, run_seeds, shrink, DiffCase, Mismatch};
+use synchrel_monitor::differential::{run_seeds, shrink, DiffCase, Mismatch};
 use synchrel_monitor::predicate::{possibly_overlap, LocalInterval};
 use synchrel_monitor::{Checker, Spec};
 use synchrel_obs::{MetricsRegistry, SpanLog};
@@ -15,9 +15,10 @@ use synchrel_serve::{
     case_commands, duplex, run_chaos_case, run_chaos_case_with, run_chaos_seeds,
     run_chaos_seeds_with, run_failover_case, run_failover_seeds, run_follower, run_nemesis_case,
     run_nemesis_failover_case, run_nemesis_failover_seeds, run_nemesis_seeds, run_shard_chaos_case,
-    run_shard_chaos_seeds, Backend, ChaosMismatch, Client, Command as ServeCommand, CrashPlan,
-    CrashPoint, DirStorage, Follower, ListenAddr, NemesisFactory, OverloadPolicy,
-    Response as ServeResponse, Server, ServerConfig, Service, ServiceConfig, Storage,
+    run_shard_chaos_seeds, run_shard_differential_case, Backend, ChaosMismatch, Client,
+    Command as ServeCommand, CrashPlan, CrashPoint, DirStorage, Follower, ListenAddr,
+    NemesisFactory, OverloadPolicy, Response as ServeResponse, Server, ServerConfig, Service,
+    ServiceConfig, Storage,
 };
 use synchrel_sim::format::TraceFile;
 use synchrel_sim::workload;
@@ -625,7 +626,8 @@ fn fuzz(a: &Args) -> Result<ExitCode, AnyError> {
     if let Some(v) = a.opt("case") {
         // Replay (and re-shrink) one exact case seed.
         let seed = parse_seed("case", v)?;
-        return Ok(match run_case(&DiffCase::configure(seed, force_faults)) {
+        let case = DiffCase::configure(seed, force_faults);
+        return Ok(match run_shard_differential_case(&case) {
             Ok(o) => {
                 println!(
                     "case {seed:#x}: OK ({} pairs checked{})",
@@ -639,7 +641,8 @@ fn fuzz(a: &Args) -> Result<ExitCode, AnyError> {
                 ExitCode::SUCCESS
             }
             Err(m) => {
-                report_mismatch(&shrink(m, force_faults), force_faults);
+                let m = shrink(m, force_faults, run_shard_differential_case);
+                report_mismatch(&m, force_faults);
                 ExitCode::from(1)
             }
         });
@@ -649,7 +652,7 @@ fn fuzz(a: &Args) -> Result<ExitCode, AnyError> {
         None => 0xD1FF_0001,
     };
     let cases: u64 = a.num("cases", 1000)?;
-    match run_seeds(seed, cases, force_faults) {
+    match run_seeds(seed, cases, force_faults, run_shard_differential_case) {
         Ok(stats) => {
             println!(
                 "fuzz OK: {} cases ({} skipped), {} interval pairs cross-checked \

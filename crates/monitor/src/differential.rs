@@ -30,11 +30,14 @@
 //! 8. the [`OnlineMonitor`] crashed mid-replay, restored from its
 //!    binary snapshot, and fed the rest of the stream (plus an
 //!    at-least-once overlap it must dedup) — recovery must land in the
-//!    same exact-equivalence class;
-//! 9. the [`ShardedMonitor`] fed the same perturbed streams at
-//!    K ∈ {1, 2, 4} shards — every verdict (including the lossy,
-//!    degraded decay) must match the unsharded monitor exactly, and
-//!    the clean replays must additionally match the oracle.
+//!    same exact-equivalence class.
+//!
+//! The sharded facade lives in `synchrel-serve`, so its stage does
+//! too: `run_shard_differential_case` runs [`run_case`] and then feeds
+//! the same perturbed streams ([`perturbed_reports`]) to
+//! `ShardedServer` at K ∈ {1, 2, 4} shards. [`run_seeds`] and
+//! [`shrink`] take the per-case check as a parameter, so every sweep
+//! can run that stage.
 //!
 //! The seed layout reserves the low 8 bits as a **size code**
 //! (process/step/label counts and the fault bit) and the rest as
@@ -52,8 +55,7 @@ use synchrel_sim::fault::{mix, random_scripts, FaultPlan};
 use synchrel_sim::intervals::by_label;
 use synchrel_sim::{SimResult, Simulation};
 
-use crate::online::{OnlineError, OnlineMonitor, OnlineMsg, Verdict, WireEvent};
-use crate::shard::ShardedMonitor;
+use crate::online::{Ingest, OnlineMonitor, OnlineMsg, Verdict, WireEvent};
 
 const SALT_SCRIPTS: u64 = 0x5C21;
 const SALT_FAULTS: u64 = 0xFA01;
@@ -204,11 +206,14 @@ fn replay_in_order(
     Ok(mon)
 }
 
+/// One sequence-numbered wire report: `(process, seq, event, labels)`.
+pub type WireReport = (usize, u64, WireEvent, Vec<String>);
+
 /// The per-process sequence-numbered wire reports of `result`.
 ///
 /// Public so out-of-crate harnesses (the serve chaos sweep) can feed
 /// the same simulated executions through their own transport.
-pub fn wire_reports(result: &SimResult) -> Vec<(usize, u64, WireEvent, Vec<String>)> {
+pub fn wire_reports(result: &SimResult) -> Vec<WireReport> {
     let exec = &result.exec;
     let mut out = Vec::new();
     for p in 0..exec.num_processes() {
@@ -237,88 +242,50 @@ pub fn shuffle<T>(items: &mut [T], seed: u64) {
     }
 }
 
-/// The wire-ingest surface shared by the unsharded monitor and the
-/// sharded facade, so one perturbed replay drives both and the
-/// differential stages compare like for like.
-trait WireSink {
-    fn ingest_report(
-        &mut self,
-        p: usize,
-        seq: u64,
-        ev: WireEvent,
-        labels: &[&str],
-    ) -> Result<crate::online::Ingest, OnlineError>;
-    fn declare_all_sent(&mut self, total: &[u64]) -> Result<u64, OnlineError>;
-    fn close_label(&mut self, label: &str);
-}
-
-impl WireSink for OnlineMonitor {
-    fn ingest_report(
-        &mut self,
-        p: usize,
-        seq: u64,
-        ev: WireEvent,
-        labels: &[&str],
-    ) -> Result<crate::online::Ingest, OnlineError> {
-        self.ingest(p, seq, ev, labels)
-    }
-    fn declare_all_sent(&mut self, total: &[u64]) -> Result<u64, OnlineError> {
-        self.declare_complete(total)
-    }
-    fn close_label(&mut self, label: &str) {
-        self.close(label);
-    }
-}
-
-impl WireSink for ShardedMonitor {
-    fn ingest_report(
-        &mut self,
-        p: usize,
-        seq: u64,
-        ev: WireEvent,
-        labels: &[&str],
-    ) -> Result<crate::online::Ingest, OnlineError> {
-        self.ingest(p, seq, ev, labels)
-    }
-    fn declare_all_sent(&mut self, total: &[u64]) -> Result<u64, OnlineError> {
-        self.declare_complete(total)
-    }
-    fn close_label(&mut self, label: &str) {
-        self.close(label);
-    }
-}
-
-/// Wire-API replay under a seed-derived perturbation into any
-/// [`WireSink`]. `drops` enables report loss (followed by
-/// [`OnlineMonitor::declare_complete`]).
-fn replay_perturbed_into<M: WireSink>(
-    mut mon: M,
+/// The seed-derived wire perturbation every replay of a case shares:
+/// `result`'s reports shuffled, one in ten lost when `drops` is set,
+/// and each survivor paired with whether the transport delivers it a
+/// second time. Also returns how many reports each process sent — the
+/// end-of-stream [`OnlineMonitor::declare_complete`] totals.
+pub fn perturbed_reports(
     result: &SimResult,
-    processes: usize,
+    seed: u64,
+    drops: bool,
+) -> (Vec<(WireReport, bool)>, Vec<u64>) {
+    let mut reports = wire_reports(result);
+    let mut totals = vec![0u64; result.exec.num_processes()];
+    for &(p, ..) in &reports {
+        totals[p] += 1;
+    }
+    shuffle(&mut reports, seed);
+    let deliveries = reports
+        .into_iter()
+        .enumerate()
+        .filter(|&(i, _)| !(drops && mix(seed, SALT_DROP, i as u64).is_multiple_of(10)))
+        .map(|(i, rep)| (rep, mix(seed, SALT_DUP, i as u64).is_multiple_of(5)))
+        .collect();
+    (deliveries, totals)
+}
+
+/// Wire-API replay of [`perturbed_reports`] into a fresh monitor,
+/// checking that every transport duplicate is discarded. With `drops`
+/// the stream ends with [`OnlineMonitor::declare_complete`]; then all
+/// `labels` close.
+pub fn replay_perturbed(
+    result: &SimResult,
     labels: &[String],
     seed: u64,
     drops: bool,
-) -> Result<M, String> {
-    let mut reports = wire_reports(result);
-    let mut total = vec![0u64; processes];
-    for &(p, ..) in &reports {
-        total[p] += 1;
-    }
-    shuffle(&mut reports, seed);
-    for (i, (p, seq, ev, lab)) in reports.into_iter().enumerate() {
-        if drops && mix(seed, SALT_DROP, i as u64).is_multiple_of(10) {
-            continue;
-        }
+) -> Result<OnlineMonitor, String> {
+    let (deliveries, totals) = perturbed_reports(result, seed, drops);
+    let mut mon = OnlineMonitor::new(totals.len());
+    for ((p, seq, ev, lab), dup) in deliveries {
         let refs: Vec<&str> = lab.iter().map(String::as_str).collect();
-        mon.ingest_report(p, seq, ev.clone(), &refs)
+        mon.ingest(p, seq, ev.clone(), &refs)
             .map_err(|e| e.to_string())?;
-        if mix(seed, SALT_DUP, i as u64).is_multiple_of(5) {
-            // A transport duplicate must be recognized and discarded.
-            match mon
-                .ingest_report(p, seq, ev, &refs)
-                .map_err(|e| e.to_string())?
-            {
-                crate::online::Ingest::Duplicate => {}
+        if dup {
+            match mon.ingest(p, seq, ev, &refs).map_err(|e| e.to_string())? {
+                Ingest::Duplicate => {}
                 other => return Err(format!("duplicate report ingested as {other:?}")),
             }
         }
@@ -326,31 +293,12 @@ fn replay_perturbed_into<M: WireSink>(
     if drops {
         // End-of-stream declaration: tail losses leave no gap evidence,
         // so the monitor must be told how many reports were sent.
-        mon.declare_all_sent(&total).map_err(|e| e.to_string())?;
+        mon.declare_complete(&totals).map_err(|e| e.to_string())?;
     }
     for l in labels {
-        mon.close_label(l);
+        mon.close(l);
     }
     Ok(mon)
-}
-
-/// Wire-API replay under a seed-derived perturbation. `drops` enables
-/// report loss (followed by [`OnlineMonitor::declare_lost`]).
-fn replay_perturbed(
-    result: &SimResult,
-    processes: usize,
-    labels: &[String],
-    seed: u64,
-    drops: bool,
-) -> Result<OnlineMonitor, String> {
-    replay_perturbed_into(
-        OnlineMonitor::new(processes),
-        result,
-        processes,
-        labels,
-        seed,
-        drops,
-    )
 }
 
 /// Wire-API replay interrupted by a crash: a seed-derived prefix of the
@@ -374,13 +322,12 @@ fn replay_with_restore(
     let overlap = (mix(seed, SALT_SNAP, 1) % (split as u64 + 1)) as usize;
 
     let mut mon = OnlineMonitor::new(processes);
-    let ingest = |mon: &mut OnlineMonitor,
-                  (p, seq, ev, lab): &(usize, u64, WireEvent, Vec<String>)|
-     -> Result<crate::online::Ingest, String> {
-        let refs: Vec<&str> = lab.iter().map(String::as_str).collect();
-        mon.ingest(*p, *seq, ev.clone(), &refs)
-            .map_err(|e| e.to_string())
-    };
+    let ingest =
+        |mon: &mut OnlineMonitor, (p, seq, ev, lab): &WireReport| -> Result<Ingest, String> {
+            let refs: Vec<&str> = lab.iter().map(String::as_str).collect();
+            mon.ingest(*p, *seq, ev.clone(), &refs)
+                .map_err(|e| e.to_string())
+        };
     for rep in &reports[..split] {
         ingest(&mut mon, rep)?;
     }
@@ -394,7 +341,7 @@ fn replay_with_restore(
     // restored monitor must still hold the dedup evidence.
     for rep in &reports[split - overlap..split] {
         match ingest(&mut mon, rep)? {
-            crate::online::Ingest::Duplicate => {}
+            Ingest::Duplicate => {}
             other => {
                 return Err(format!(
                     "replayed report ingested as {other:?} after restore"
@@ -491,6 +438,64 @@ fn check_incremental_prefixes(
     Ok(())
 }
 
+/// The labelled intervals of `result` that have at least one member.
+pub fn labelled_intervals(result: &SimResult) -> Vec<(String, NonatomicEvent)> {
+    result
+        .label_names()
+        .into_iter()
+        .filter_map(|l| by_label(result, &l).ok().map(|iv| (l, iv)))
+        .collect()
+}
+
+/// Compare a monitor's verdicts (`got`) with the `reference` verdicts
+/// (`want`) on every ordered pair of `named` intervals and every
+/// relation. Both take the relation and the two interval indices; the
+/// first disagreement comes back as a [`Mismatch`] naming `stage`.
+pub fn compare_verdicts(
+    seed: u64,
+    named: &[(String, NonatomicEvent)],
+    stage: &str,
+    reference: &str,
+    want: impl Fn(Relation, usize, usize) -> Verdict,
+    got: impl Fn(Relation, usize, usize) -> Verdict,
+) -> Result<(), Mismatch> {
+    for xi in 0..named.len() {
+        for yi in 0..named.len() {
+            if xi == yi {
+                continue;
+            }
+            for rel in Relation::ALL {
+                let (want, got) = (want(rel, xi, yi), got(rel, xi, yi));
+                if got != want {
+                    let (xl, yl) = (&named[xi].0, &named[yi].0);
+                    return Err(mismatch(
+                        seed,
+                        format!("{stage}: {rel}({xl}, {yl}) = {got:?}, {reference} says {want:?}"),
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The oracle's exact verdict on `rel` between intervals `xi` and `yi`
+/// of `named` — what a monitor with a faithful view of closed
+/// intervals must answer.
+pub fn oracle_verdict(
+    oracle: &Oracle,
+    named: &[(String, NonatomicEvent)],
+    rel: Relation,
+    xi: usize,
+    yi: usize,
+) -> Verdict {
+    if oracle.relation(rel, &named[xi].1, &named[yi].1) {
+        Verdict::Holds
+    } else {
+        Verdict::Violated
+    }
+}
+
 /// Run one case; `Ok` carries coverage statistics, `Err` a reproducible
 /// disagreement.
 pub fn run_case(case: &DiffCase) -> Result<CaseOutcome, Mismatch> {
@@ -498,12 +503,7 @@ pub fn run_case(case: &DiffCase) -> Result<CaseOutcome, Mismatch> {
     let result = case.simulate()?;
     let exec = &result.exec;
 
-    // Labelled intervals with at least one member.
-    let named: Vec<(String, NonatomicEvent)> = result
-        .label_names()
-        .into_iter()
-        .filter_map(|l| by_label(&result, &l).ok().map(|iv| (l, iv)))
-        .collect();
+    let named = labelled_intervals(&result);
     if named.len() < 2 {
         return Ok(CaseOutcome {
             pairs: 0,
@@ -585,39 +585,21 @@ pub fn run_case(case: &DiffCase) -> Result<CaseOutcome, Mismatch> {
     let label_names: Vec<String> = named.iter().map(|(l, _)| l.clone()).collect();
     let mon = replay_in_order(&result, case.processes, &label_names)
         .map_err(|e| mismatch(seed, format!("in-order replay failed: {e}")))?;
-    let check_exact_monitor = |mon: &OnlineMonitor, stage: &str| -> Result<(), Mismatch> {
-        for xi in 0..named.len() {
-            for yi in 0..named.len() {
-                if xi == yi {
-                    continue;
-                }
-                let (xl, x) = &named[xi];
-                let (yl, y) = &named[yi];
-                for rel in Relation::ALL {
-                    let want = if oracle.relation(rel, x, y) {
-                        Verdict::Holds
-                    } else {
-                        Verdict::Violated
-                    };
-                    let got = mon.check(rel, xl, yl);
-                    if got != want {
-                        return Err(mismatch(
-                            seed,
-                            format!(
-                                "{stage}: online {rel}({xl}, {yl}) = {got:?}, oracle says {want:?}"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
+    let check_exact_monitor = |mon: &OnlineMonitor, stage: &str| {
+        compare_verdicts(
+            seed,
+            &named,
+            &format!("{stage}: online"),
+            "oracle",
+            |rel, x, y| oracle_verdict(&oracle, &named, rel, x, y),
+            |rel, x, y| mon.check(rel, &named[x].0, &named[y].0),
+        )
     };
     check_exact_monitor(&mon, "in-order")?;
 
     // Reordered + duplicated wire replay: after draining everything the
     // monitor is healthy again and must be exact.
-    let mon = replay_perturbed(&result, case.processes, &label_names, seed, false)
+    let mon = replay_perturbed(&result, &label_names, seed, false)
         .map_err(|e| mismatch(seed, format!("perturbed replay failed: {e}")))?;
     if mon.is_degraded() {
         return Err(mismatch(
@@ -649,7 +631,7 @@ pub fn run_case(case: &DiffCase) -> Result<CaseOutcome, Mismatch> {
     check_exact_monitor(&mon, "recovered")?;
 
     // Lossy wire replay: verdicts may decay to Unknown but never lie.
-    let mon = replay_perturbed(&result, case.processes, &label_names, seed, true)
+    let mon = replay_perturbed(&result, &label_names, seed, true)
         .map_err(|e| mismatch(seed, format!("lossy replay failed: {e}")))?;
     for xi in 0..named.len() {
         for yi in 0..named.len() {
@@ -689,113 +671,26 @@ pub fn run_case(case: &DiffCase) -> Result<CaseOutcome, Mismatch> {
         }
     }
 
-    // Sharded facade: the same perturbed streams at K ∈ {1, 2, 4}
-    // shards must match the unsharded monitor verdict-for-verdict —
-    // clean and lossy/declare_lost paths both (the lossy comparison
-    // pins the degraded decay, not just the exact table).
-    for k in [1usize, 2, 4] {
-        for drops in [false, true] {
-            let reference = replay_perturbed(&result, case.processes, &label_names, seed, drops)
-                .map_err(|e| mismatch(seed, format!("sharded reference replay failed: {e}")))?;
-            let sharded = replay_perturbed_into(
-                ShardedMonitor::new(case.processes, k),
-                &result,
-                case.processes,
-                &label_names,
-                seed,
-                drops,
-            )
-            .map_err(|e| mismatch(seed, format!("sharded(k={k}) replay failed: {e}")))?;
-            let stage = if drops { "sharded-lossy" } else { "sharded" };
-            if sharded.is_degraded() != reference.is_degraded()
-                || sharded.lost() != reference.lost()
-                || sharded.pending() != reference.pending()
-            {
-                return Err(mismatch(
-                    seed,
-                    format!(
-                        "{stage}(k={k}): health diverged — degraded {}/{}, lost {}/{}, \
-                         pending {}/{}",
-                        sharded.is_degraded(),
-                        reference.is_degraded(),
-                        sharded.lost(),
-                        reference.lost(),
-                        sharded.pending(),
-                        reference.pending()
-                    ),
-                ));
-            }
-            for (xl, _) in &named {
-                for (yl, _) in &named {
-                    if xl == yl {
-                        continue;
-                    }
-                    for rel in Relation::ALL {
-                        let want = reference.check(rel, xl, yl);
-                        let got = sharded.check(rel, xl, yl);
-                        if got != want {
-                            return Err(mismatch(
-                                seed,
-                                format!(
-                                    "{stage}(k={k}): {rel}({xl}, {yl}) = {got:?}, unsharded \
-                                     says {want:?}"
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-            if !drops {
-                // Healthy sharded replays join the exact-equivalence
-                // class against the oracle too.
-                for xi in 0..named.len() {
-                    for yi in 0..named.len() {
-                        if xi == yi {
-                            continue;
-                        }
-                        let (xl, x) = &named[xi];
-                        let (yl, y) = &named[yi];
-                        for rel in Relation::ALL {
-                            let want = if oracle.relation(rel, x, y) {
-                                Verdict::Holds
-                            } else {
-                                Verdict::Violated
-                            };
-                            let got = sharded.check(rel, xl, yl);
-                            if got != want {
-                                return Err(mismatch(
-                                    seed,
-                                    format!(
-                                        "{stage}(k={k}): {rel}({xl}, {yl}) = {got:?}, oracle \
-                                         says {want:?}"
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     Ok(CaseOutcome {
         pairs,
         skipped: false,
     })
 }
 
-/// Run `cases` seed-derived cases from `base_seed`; on failure, shrink
-/// to the smallest failing size first.
+/// Run `cases` seed-derived cases from `base_seed` through `check`
+/// ([`run_case`], or a harness that extends it); on failure, shrink to
+/// the smallest failing size first.
 pub fn run_seeds(
     base_seed: u64,
     cases: u64,
     force_faults: Option<bool>,
+    check: impl Fn(&DiffCase) -> Result<CaseOutcome, Mismatch>,
 ) -> Result<RunStats, Mismatch> {
     let mut stats = RunStats::default();
     for i in 0..cases {
         let seed = mix(base_seed, i, SALT_CASE);
         let case = DiffCase::configure(seed, force_faults);
-        match run_case(&case) {
+        match check(&case) {
             Ok(o) => {
                 stats.cases += 1;
                 stats.pairs += o.pairs as u64;
@@ -803,16 +698,20 @@ pub fn run_seeds(
                     stats.skipped += 1;
                 }
             }
-            Err(m) => return Err(shrink(m, force_faults)),
+            Err(m) => return Err(shrink(m, force_faults, check)),
         }
     }
     Ok(stats)
 }
 
-/// Shrink a failing case: keep its entropy, try all 256 size codes in
-/// ascending size order, and return the first (smallest) that still
-/// fails — or the original if none smaller does.
-pub fn shrink(found: Mismatch, force_faults: Option<bool>) -> Mismatch {
+/// Shrink a case `check` failed on: keep its entropy, try all 256 size
+/// codes in ascending size order, and return the first (smallest) that
+/// still fails — or the original if none smaller does.
+pub fn shrink(
+    found: Mismatch,
+    force_faults: Option<bool>,
+    check: impl Fn(&DiffCase) -> Result<CaseOutcome, Mismatch>,
+) -> Mismatch {
     let entropy = found.seed >> 8;
     let mut codes: Vec<u64> = (0..256).collect();
     codes.sort_by_key(|&code| {
@@ -825,7 +724,7 @@ pub fn shrink(found: Mismatch, force_faults: Option<bool>) -> Mismatch {
             break; // everything after is at least as large as the original
         }
         let case = DiffCase::configure(candidate, force_faults);
-        if let Err(m) = run_case(&case) {
+        if let Err(m) = check(&case) {
             return m;
         }
     }
@@ -858,7 +757,7 @@ mod tests {
 
     #[test]
     fn smoke_sweep_agrees() {
-        let stats = run_seeds(0xC0FFEE, 40, None).expect("no mismatches");
+        let stats = run_seeds(0xC0FFEE, 40, None, run_case).expect("no mismatches");
         assert_eq!(stats.cases, 40);
         assert!(stats.pairs > 0, "sweep exercised no pairs: {stats:?}");
     }
@@ -872,6 +771,6 @@ mod tests {
             seed: (0xABC << 8) | 0xFF,
             detail: "fabricated".into(),
         };
-        assert_eq!(shrink(big.clone(), None), big);
+        assert_eq!(shrink(big.clone(), None, run_case), big);
     }
 }

@@ -21,17 +21,18 @@
 //! * [`predicate`] — conjunctive global-predicate detection over local
 //!   intervals (possibly-`∧φᵢ`), solved with the condensation cut
 //!   `∪⇓S` of the interval starts.
-//! * [`shard`] — the sharded monitor: consistent-hash partitioning of
-//!   processes and labels across K full-width monitors, with a
-//!   Theorem-19 coordinator merging per-shard summaries for
-//!   cross-shard relation queries — verdicts byte-identical to one
-//!   unsharded monitor.
+//! * [`shard`] — the sharding protocol's building blocks:
+//!   consistent-hash partitioning of processes across K full-width
+//!   monitors, and a Theorem-19 coordinator merging per-shard summaries
+//!   for cross-shard relation queries — verdicts byte-identical to one
+//!   unsharded monitor. The facade over them is `ShardedServer` in
+//!   `synchrel-serve`.
 //! * [`watch`] — the one verdict rule set (settle table plus decay) and
 //!   the watch registry shared by the online monitor and the facades.
 //! * [`differential`] — the randomized differential-conformance harness:
 //!   fault-injected simulations checked across every evaluator (naive
 //!   oracle, counted, fused, online) with single-seed reproduction and
-//!   shrinking.
+//!   shrinking; `synchrel-serve` adds the sharded stage on top.
 
 pub mod checker;
 pub mod differential;
@@ -48,8 +49,8 @@ pub use mutex::{MutexReport, MutexViolation};
 pub use online::{Ingest, MonitorStats, OnlineError, OnlineMonitor, OnlineMsg, Verdict, WireEvent};
 pub use predicate::{possibly_overlap, LocalInterval, PossiblyReport};
 pub use shard::{
-    next_concession, prune_candidates, shard_stats, transfer_round, Coordinator, ShardMap,
-    ShardedMonitor, TransferOp,
+    next_concession, prune_candidates, shard_stats, transfer_round_masked, Coordinator, ShardMap,
+    TransferOp,
 };
 pub use spec::{Condition, Spec};
 pub use watch::{verdict, WatchBook, WatchEvent, WatchSpec};

@@ -232,7 +232,7 @@ pub enum Ingest {
 /// Incrementally maintained state of one named interval — the
 /// Theorem-19 [`CutSummary`] from `synchrel-core`, which is also what
 /// a sharded deployment ships between shards (see
-/// [`crate::shard::ShardedMonitor`]).
+/// [`crate::shard::Coordinator`]).
 type IntervalState = CutSummary;
 
 /// Internal running counters. Ingest-side counters are plain `u64`

@@ -2,12 +2,11 @@
 //! Theorem-19 cross-shard coordinator.
 //!
 //! One [`OnlineMonitor`] holds all clocks, buffers, and watches — the
-//! apply path that caps throughput. This module splits that state
-//! across `K` full-width monitors ("shards"), each ingesting only the
-//! wire reports of the **processes it owns** (a [`ShardMap`] routes
-//! process groups and interval labels to shards by consistent
-//! hashing). Three observations make the split exact rather than
-//! approximate:
+//! apply path that caps throughput. A sharded deployment splits that
+//! state across `K` full-width monitors ("shards"), each ingesting
+//! only the wire reports of the **processes it owns** (a [`ShardMap`]
+//! routes process groups to shards by consistent hashing). Three
+//! observations make the split exact rather than approximate:
 //!
 //! 1. **Per-node state never straddles shards.** Every process is
 //!    owned by exactly one shard, so an interval's per-node extremes
@@ -23,61 +22,47 @@
 //! 3. **Cross-shard causality is carried by send clocks.** A receive
 //!    whose matching send applied on another shard is unblocked by
 //!    shipping that send's applied clock
-//!    ([`OnlineMonitor::learn_send`]); [`transfer_round`] computes the
-//!    pending shipments and the facade loops them to a fixpoint, which
-//!    reproduces exactly the apply order an unsharded monitor's drain
-//!    would have used.
+//!    ([`OnlineMonitor::learn_send`]); [`transfer_round_masked`]
+//!    computes the pending shipments and the facade loops them to a
+//!    fixpoint, which reproduces exactly the apply order an unsharded
+//!    monitor's drain would have used.
 //!
-//! [`ShardedMonitor`] is the in-process facade (same wire-API surface
-//! as [`OnlineMonitor`]); the serving tier builds the same facade over
-//! per-shard WAL-backed servers in `synchrel-serve`. The building
-//! blocks — [`ShardMap`], [`Coordinator`], [`transfer_round`],
-//! [`next_concession`], [`prune_candidates`], [`shard_stats`], plus
-//! the [`WatchBook`] registry — are public so both facades share one
-//! implementation of the protocol.
+//! The facade itself is `ShardedServer` in `synchrel-serve`: per-shard
+//! WAL-backed servers behind the single-server command surface. This
+//! module holds its protocol building blocks — [`ShardMap`],
+//! [`Coordinator`], [`transfer_round_masked`], [`next_concession`],
+//! [`prune_candidates`], [`shard_stats`] — over plain
+//! [`OnlineMonitor`]s, next to the [`WatchBook`] registry they work
+//! with.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 
 use synchrel_core::thm19::{self, CutSummary};
 use synchrel_core::{Relation, VectorClock};
-use synchrel_obs::MetricsRegistry;
 use synchrel_sim::fault::mix;
 
-use crate::online::{Ingest, MonitorStats, OnlineError, OnlineMonitor, Verdict, WireEvent};
-use crate::watch::{verdict, WatchBook, WatchEvent};
+use crate::online::{MonitorStats, OnlineMonitor, Verdict};
+use crate::watch::{verdict, WatchBook};
 
 const SALT_RING: u64 = 0x51A6;
 const SALT_GROUP: u64 = 0x56E0;
-const SALT_LABEL: u64 = 0x1ABE1;
 /// Virtual nodes per shard on the hash ring: enough that load spreads
 /// evenly at small `K`, few enough that the ring stays cache-resident.
 const VNODES: u64 = 32;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Consistent-hash routing of processes (via their group) and interval
-/// labels to shards.
+/// Consistent-hash routing of processes (via their group) to shards.
 ///
 /// The ring carries [`VNODES`] points per shard; adding shard `K+1`
 /// only inserts new points, so the assignment is **rebalance-stable**:
-/// growing the shard count moves roughly `1/(K+1)` of the keys and
-/// leaves the rest where they were. Explicit per-label overrides
-/// ([`ShardMap::reassign`]) support operational rebalancing.
+/// growing the shard count moves roughly `1/(K+1)` of the groups and
+/// leaves the rest where they were.
 #[derive(Clone, Debug)]
 pub struct ShardMap {
     shards: usize,
     points: Vec<(u64, usize)>,
     /// Shard owning each process (resolved at construction).
     owner: Vec<usize>,
-    overrides: BTreeMap<String, usize>,
 }
 
 impl ShardMap {
@@ -104,7 +89,6 @@ impl ShardMap {
             shards,
             points,
             owner: Vec::new(),
-            overrides: BTreeMap::new(),
         };
         map.owner = groups
             .iter()
@@ -134,27 +118,6 @@ impl ShardMap {
         self.owner[p]
     }
 
-    /// The home shard of interval `label` — where a serving facade
-    /// anchors the label's watch bookkeeping. Overrides win over the
-    /// ring.
-    pub fn home_of(&self, label: &str) -> usize {
-        if let Some(&s) = self.overrides.get(label) {
-            return s;
-        }
-        // FNV-1a of short, similar strings clusters in the low bits;
-        // a splitmix finalizer spreads the keys around the ring.
-        self.lookup(mix(fnv1a(label.as_bytes()), 0, SALT_LABEL))
-    }
-
-    /// Pin `label`'s home to `shard` (operational rebalancing). The
-    /// routing of *event state* is untouched — summaries live with the
-    /// processes that produced them — so moving a label's home never
-    /// changes any verdict.
-    pub fn reassign(&mut self, label: &str, shard: usize) {
-        self.overrides
-            .insert(label.to_string(), shard % self.shards);
-    }
-
     /// An end-of-stream `totals` vector as shard `shard` must audit it:
     /// the totals of the processes it owns, zero for the rest (it never
     /// ingests their reports).
@@ -181,21 +144,17 @@ pub struct TransferOp {
 }
 
 /// Compute one round of cross-shard send-clock shipments: for every
-/// shard whose head-of-sequence receive is blocked on a message some
-/// *other* shard has applied the send of, emit a [`TransferOp`].
-/// Apply the ops ([`OnlineMonitor::learn_send`]) and call again; an
-/// empty round is the fixpoint.
-pub fn transfer_round(shards: &[&OnlineMonitor]) -> Vec<TransferOp> {
-    transfer_round_masked(shards, &vec![true; shards.len()])
-}
-
-/// [`transfer_round`] under a reachability mask: a shard marked
-/// unreachable (network-partitioned from the facade) neither receives
-/// transfers nor serves as a clock source this round. Deferring, not
-/// dropping — when the partition heals the ordinary fixpoint re-runs
-/// over the full shard set and ships everything that was masked, which
-/// is what makes post-heal state independent of when the partition
-/// held.
+/// reachable shard whose head-of-sequence receive is blocked on a
+/// message some *other* reachable shard has applied the send of, emit
+/// a [`TransferOp`]. Apply the ops ([`OnlineMonitor::learn_send`]) and
+/// call again; an empty round is the fixpoint.
+///
+/// A shard marked unreachable (network-partitioned from the facade)
+/// neither receives transfers nor serves as a clock source this round.
+/// Deferring, not dropping — when the partition heals the ordinary
+/// fixpoint re-runs over the full shard set and ships everything that
+/// was masked, which is what makes post-heal state independent of when
+/// the partition held.
 pub fn transfer_round_masked(shards: &[&OnlineMonitor], reachable: &[bool]) -> Vec<TransferOp> {
     assert_eq!(shards.len(), reachable.len(), "one mask bit per shard");
     let mut ops = Vec::new();
@@ -294,8 +253,8 @@ impl Coordinator {
         self.misses.get()
     }
 
-    /// Drop every cached summary of `label` (it closed, retired, or
-    /// was rebalanced — changes that do not advance any frontier).
+    /// Drop every cached summary of `label` (it closed or retired —
+    /// changes that do not advance any frontier).
     pub fn invalidate(&self, label: &str) {
         self.cache.borrow_mut().retain(|(_, l), _| l != label);
     }
@@ -388,494 +347,10 @@ pub fn shard_stats<'a>(shards: impl IntoIterator<Item = &'a OnlineMonitor>) -> M
     out
 }
 
-/// The in-process sharded monitor: `K` full-width [`OnlineMonitor`]s
-/// behind the [`OnlineMonitor`] wire-API surface, producing verdicts
-/// byte-identical to one unsharded monitor fed the same reports.
-#[derive(Debug)]
-pub struct ShardedMonitor {
-    map: ShardMap,
-    shards: Vec<OnlineMonitor>,
-    book: WatchBook,
-    coord: Coordinator,
-    prune_enabled: bool,
-    /// Facade-level `check` tallies (shard monitors never run `check`,
-    /// so their tallies stay zero).
-    tallies: [Cell<u64>; 4],
-}
-
-impl ShardedMonitor {
-    /// `processes` processes split across `shards` shards, one process
-    /// group each.
-    pub fn new(processes: usize, shards: usize) -> ShardedMonitor {
-        ShardedMonitor::with_map(ShardMap::new(shards, processes))
-    }
-
-    /// A sharded monitor over an explicit routing map.
-    pub fn with_map(map: ShardMap) -> ShardedMonitor {
-        let processes = map.num_processes();
-        let shards = (0..map.shards())
-            .map(|_| OnlineMonitor::new(processes))
-            .collect();
-        ShardedMonitor {
-            map,
-            shards,
-            book: WatchBook::default(),
-            coord: Coordinator::new(),
-            prune_enabled: false,
-            tallies: Default::default(),
-        }
-    }
-
-    /// Enable facade-level pruning (shard-local pruning stays off —
-    /// retirement is a global decision).
-    pub fn with_pruning(mut self) -> ShardedMonitor {
-        self.prune_enabled = true;
-        self
-    }
-
-    /// Number of processes.
-    pub fn num_processes(&self) -> usize {
-        self.map.num_processes()
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The routing map.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// The coordinator (cache statistics).
-    pub fn coordinator(&self) -> &Coordinator {
-        &self.coord
-    }
-
-    /// Shard `i`'s monitor, read-only.
-    pub fn shard(&self, i: usize) -> &OnlineMonitor {
-        &self.shards[i]
-    }
-
-    fn shard_refs(&self) -> Vec<&OnlineMonitor> {
-        self.shards.iter().collect()
-    }
-
-    fn total_applied(&self) -> u64 {
-        self.shards.iter().map(|s| s.stats().applied).sum()
-    }
-
-    /// Run cross-shard send-clock transfers to a fixpoint.
-    fn transfer(&mut self) -> Result<(), OnlineError> {
-        loop {
-            let ops = transfer_round(&self.shard_refs());
-            if ops.is_empty() {
-                return Ok(());
-            }
-            for op in ops {
-                self.shards[op.dst].learn_send(op.msg, op.clock)?;
-            }
-        }
-    }
-
-    /// Ingest one sequence-numbered wire report — routed to the owning
-    /// shard, followed by cross-shard transfers if it applied.
-    /// Contract matches [`OnlineMonitor::ingest`]; `Applied(n)` counts
-    /// events applied across *all* shards (transfers included).
-    pub fn ingest(
-        &mut self,
-        p: usize,
-        seq: u64,
-        event: WireEvent,
-        labels: &[&str],
-    ) -> Result<Ingest, OnlineError> {
-        if p >= self.num_processes() {
-            return Err(OnlineError::UnknownProcess(p));
-        }
-        let owner = self.map.shard_of_process(p);
-        let before = self.total_applied();
-        match self.shards[owner].ingest(p, seq, event, labels)? {
-            Ingest::Applied(_) => {
-                self.transfer()?;
-                Ok(Ingest::Applied((self.total_applied() - before) as usize))
-            }
-            Ingest::Buffered => {
-                // A receive held at head-of-sequence may be waiting on
-                // a send another shard already applied — exactly the
-                // case the unsharded monitor applies immediately. Run
-                // transfers and report `Applied` if anything drained.
-                self.transfer()?;
-                let applied = self.total_applied() - before;
-                if applied > 0 {
-                    Ok(Ingest::Applied(applied as usize))
-                } else {
-                    Ok(Ingest::Buffered)
-                }
-            }
-            other => Ok(other),
-        }
-    }
-
-    /// Ingest a batch of wire reports with per-shard parallelism:
-    /// reports are partitioned by owning shard, each shard applies its
-    /// sub-batch on its own thread (shards share nothing during the
-    /// apply), and cross-shard transfers run once at the end. The
-    /// final state is identical to ingesting the batch sequentially —
-    /// a shard's apply path never reads another shard's state.
-    /// Returns the number of events applied.
-    pub fn ingest_batch_parallel(
-        &mut self,
-        reports: &[(usize, u64, WireEvent, Vec<String>)],
-    ) -> Result<usize, OnlineError> {
-        let k = self.shards.len();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (i, &(p, ..)) in reports.iter().enumerate() {
-            if p >= self.num_processes() {
-                return Err(OnlineError::UnknownProcess(p));
-            }
-            by_shard[self.map.shard_of_process(p)].push(i);
-        }
-        let before = self.total_applied();
-        let results: Vec<Result<(), OnlineError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(&by_shard)
-                .map(|(shard, idxs)| {
-                    scope.spawn(move || {
-                        for &i in idxs {
-                            let (p, seq, ev, labels) = &reports[i];
-                            let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-                            shard.ingest(*p, *seq, ev.clone(), &refs)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard apply thread panicked"))
-                .collect()
-        });
-        for r in results {
-            r?;
-        }
-        self.transfer()?;
-        Ok((self.total_applied() - before) as usize)
-    }
-
-    /// Retry buffered reports on every shard, including cross-shard
-    /// transfers. Returns how many events applied.
-    pub fn flush(&mut self) -> Result<usize, OnlineError> {
-        let before = self.total_applied();
-        for shard in &mut self.shards {
-            shard.flush()?;
-        }
-        self.transfer()?;
-        Ok((self.total_applied() - before) as usize)
-    }
-
-    /// Reports buffered out of order, across all shards.
-    pub fn pending(&self) -> usize {
-        self.shards.iter().map(|s| s.pending()).sum()
-    }
-
-    /// Wire sequence slots conceded as lost, across all shards.
-    pub fn lost(&self) -> u64 {
-        self.shards.iter().map(|s| s.lost()).sum()
-    }
-
-    /// Any shard degraded (buffered reports or conceded losses) —
-    /// exactly the unsharded flag, since held buffers and concessions
-    /// partition by owning shard.
-    pub fn is_degraded(&self) -> bool {
-        self.shards.iter().any(|s| s.is_degraded())
-    }
-
-    /// [`OnlineMonitor::declare_lost`] across shards: per-process
-    /// concession steps in ascending process order, with transfer
-    /// fixpoints between steps — byte-identical concession decisions
-    /// to the unsharded monitor.
-    pub fn declare_lost(&mut self) -> Result<u64, OnlineError> {
-        let mut conceded = 0;
-        loop {
-            self.transfer()?;
-            let Some((s, p)) = next_concession(&self.shard_refs(), &self.map) else {
-                return Ok(conceded);
-            };
-            conceded += self.shards[s].concede_step(p)?;
-        }
-    }
-
-    /// [`OnlineMonitor::declare_complete`]: declare losses, then
-    /// concede missing tails — `total[p]` is routed to `p`'s owning
-    /// shard (other shards see a zero mask, since they never ingest
-    /// `p`'s reports).
-    pub fn declare_complete(&mut self, total: &[u64]) -> Result<u64, OnlineError> {
-        if total.len() != self.num_processes() {
-            return Err(OnlineError::UnknownProcess(total.len()));
-        }
-        let mut conceded = self.declare_lost()?;
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            conceded += shard.declare_complete(&self.map.owned_totals(s, total))?;
-        }
-        Ok(conceded)
-    }
-
-    /// Close an interval on every shard (members may live anywhere).
-    pub fn close(&mut self, label: &str) {
-        for shard in &mut self.shards {
-            shard.close(label);
-        }
-        self.coord.invalidate(label);
-        self.prune();
-    }
-
-    /// Is the interval closed (on any shard — closure is broadcast)?
-    pub fn is_closed(&self, label: &str) -> bool {
-        self.shards.iter().any(|s| s.is_closed(label))
-    }
-
-    /// Has the interval been retired to a tombstone?
-    pub fn is_retired(&self, label: &str) -> bool {
-        self.shards.iter().any(|s| s.is_retired(label))
-    }
-
-    /// Total member events of `label` across shards (tombstone counts
-    /// included).
-    pub fn interval_len(&self, label: &str) -> usize {
-        self.shards.iter().map(|s| s.interval_len(label)).sum()
-    }
-
-    /// The interval's state merged across shards — equal to the
-    /// unsharded monitor's interval state.
-    pub fn merged_summary(&self, label: &str) -> CutSummary {
-        self.coord.merged(&self.shard_refs(), label)
-    }
-
-    /// Facade pruning: retire closed intervals no unsettled watch
-    /// references, on every shard. Returns labels retired.
-    pub fn prune(&mut self) -> usize {
-        if !self.prune_enabled {
-            return 0;
-        }
-        let candidates = prune_candidates(&self.shard_refs(), &self.book);
-        for label in &candidates {
-            for shard in &mut self.shards {
-                shard.retire(label);
-            }
-            self.coord.invalidate(label);
-        }
-        candidates.len()
-    }
-
-    /// Register a named watch — [`OnlineMonitor::watch`] semantics.
-    pub fn watch(&mut self, name: &str, rel: Relation, x: &str, y: &str) {
-        self.book.watch(name, rel, x, y);
-    }
-
-    /// Current verdicts of all watches, in registration order.
-    pub fn verdicts(&self) -> Vec<(String, Verdict)> {
-        self.book.verdicts(|rel, x, y| self.check(rel, x, y))
-    }
-
-    /// Re-evaluate watches and report verdict transitions —
-    /// [`OnlineMonitor::poll`] contract.
-    pub fn poll(&mut self) -> Vec<WatchEvent> {
-        let shards = &self.shards;
-        let coord = &self.coord;
-        let tallies = &self.tallies;
-        let degraded = shards.iter().any(|s| s.is_degraded());
-        let refs: Vec<&OnlineMonitor> = shards.iter().collect();
-        let (events, _settles) = self.book.poll(true, |rel, x, y| {
-            let v = coord.check(&refs, degraded, false, rel, x, y);
-            let c = &tallies[v.code() as usize];
-            c.set(c.get() + 1);
-            v
-        });
-        self.prune();
-        events
-    }
-
-    /// The monotonicity-aware verdict for `rel(X, Y)`, decayed for
-    /// degradation — [`OnlineMonitor::check`] over merged summaries.
-    pub fn check(&self, rel: Relation, x: &str, y: &str) -> Verdict {
-        let v = self
-            .coord
-            .check(&self.shard_refs(), self.is_degraded(), false, rel, x, y);
-        let c = &self.tallies[v.code() as usize];
-        c.set(c.get() + 1);
-        v
-    }
-
-    /// Exact (degradation-blind) verdict — [`OnlineMonitor::check_exact`].
-    pub fn check_exact(&self, rel: Relation, x: &str, y: &str) -> Verdict {
-        self.coord
-            .check(&self.shard_refs(), false, false, rel, x, y)
-    }
-
-    /// Move `label`'s home shard (consistent-hash override). Event
-    /// state stays with the processes that produced it, so settled and
-    /// future verdicts are unchanged — the rebalance property test
-    /// pins this down.
-    pub fn rebalance(&mut self, label: &str, shard: usize) {
-        self.map.reassign(label, shard);
-        self.coord.invalidate(label);
-    }
-
-    /// Aggregated operational counters: ingest-side counters summed
-    /// across shards, verdict tallies from the facade (shards never
-    /// run `check`), residency computed over the union of labels.
-    pub fn stats(&self) -> MonitorStats {
-        let mut out = shard_stats(&self.shards);
-        out.holds = self.tallies[0].get();
-        out.violated = self.tallies[1].get();
-        out.pending_verdicts = self.tallies[2].get();
-        out.unknown = self.tallies[3].get();
-        out
-    }
-
-    /// Export aggregate counters plus per-shard gauges (labelled by
-    /// shard index) into a metrics registry.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        self.stats().register(reg);
-        reg.gauge(
-            "synchrel_shard_count",
-            "Number of monitor shards",
-            self.shards.len() as f64,
-        );
-        reg.counter(
-            "synchrel_shard_coordinator_cache_hits_total",
-            "Cross-shard summary fetches served from the coordinator cache",
-            self.coord.cache_hits(),
-        );
-        reg.counter(
-            "synchrel_shard_coordinator_cache_misses_total",
-            "Cross-shard summary fetches that had to touch a shard",
-            self.coord.cache_misses(),
-        );
-        for (i, shard) in self.shards.iter().enumerate() {
-            let s = shard.stats();
-            let idx = i.to_string();
-            let labels: &[(&str, &str)] = &[("shard", idx.as_str())];
-            reg.counter_with(
-                "synchrel_shard_applied_total",
-                labels,
-                "Events applied per shard",
-                s.applied,
-            );
-            reg.gauge_with(
-                "synchrel_shard_buffer_depth",
-                labels,
-                "Reports buffered out of order per shard",
-                s.pending as f64,
-            );
-            reg.counter_with(
-                "synchrel_shard_lost_total",
-                labels,
-                "Wire sequence slots conceded per shard",
-                s.lost,
-            );
-            reg.gauge_with(
-                "synchrel_shard_resident_intervals",
-                labels,
-                "Interval states resident per shard",
-                s.resident_intervals as f64,
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::differential::{shuffle, wire_reports, DiffCase};
-
-    /// Feed the same perturbed wire stream to an unsharded monitor and
-    /// a K-sharded one; their verdicts must agree exactly.
-    fn assert_sharded_matches(seed: u64, k: usize, drops: bool) {
-        let case = DiffCase::configure(seed, Some(false));
-        let result = case.simulate().expect("sim runs");
-        let labels = result.label_names();
-        if labels.len() < 2 {
-            return;
-        }
-        let mut reports = wire_reports(&result);
-        let mut total = vec![0u64; case.processes];
-        for &(p, ..) in &reports {
-            total[p] += 1;
-        }
-        shuffle(&mut reports, seed);
-
-        let mut mono = OnlineMonitor::new(case.processes);
-        let mut sharded = ShardedMonitor::new(case.processes, k);
-        for (name, rel) in [("w0", Relation::R1), ("w1", Relation::R4)] {
-            mono.watch(name, rel, &labels[0], &labels[1]);
-            sharded.watch(name, rel, &labels[0], &labels[1]);
-        }
-        for (i, (p, seq, ev, lab)) in reports.iter().enumerate() {
-            if drops && mix(seed, 0xD60F, i as u64).is_multiple_of(10) {
-                continue;
-            }
-            let refs: Vec<&str> = lab.iter().map(String::as_str).collect();
-            mono.ingest(*p, *seq, ev.clone(), &refs).unwrap();
-            sharded.ingest(*p, *seq, ev.clone(), &refs).unwrap();
-        }
-        if drops {
-            mono.declare_complete(&total).unwrap();
-            sharded.declare_complete(&total).unwrap();
-        }
-        for l in &labels {
-            mono.close(l);
-            sharded.close(l);
-        }
-        assert_eq!(
-            mono.poll(),
-            sharded.poll(),
-            "poll events seed {seed:#x} k {k}"
-        );
-        assert_eq!(
-            mono.verdicts(),
-            sharded.verdicts(),
-            "verdicts seed {seed:#x} k {k}"
-        );
-        for x in &labels {
-            for y in &labels {
-                if x == y {
-                    continue;
-                }
-                for rel in Relation::ALL {
-                    assert_eq!(
-                        mono.check(rel, x, y),
-                        sharded.check(rel, x, y),
-                        "check {rel}({x},{y}) seed {seed:#x} k {k}"
-                    );
-                }
-            }
-        }
-        assert_eq!(mono.is_degraded(), sharded.is_degraded());
-        assert_eq!(mono.lost(), sharded.lost());
-        assert_eq!(mono.pending(), sharded.pending());
-    }
-
-    #[test]
-    fn sharded_matches_unsharded_clean() {
-        for i in 0..12u64 {
-            for k in [1, 2, 3, 4] {
-                assert_sharded_matches(mix(0x5AAD, i, 0xC0DE), k, false);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_matches_unsharded_lossy() {
-        for i in 0..12u64 {
-            for k in [1, 2, 4] {
-                assert_sharded_matches(mix(0x10_55, i, 0xC0DE), k, true);
-            }
-        }
-    }
+    use crate::online::WireEvent;
 
     #[test]
     fn shard_map_is_deterministic_and_covers() {
@@ -887,168 +362,49 @@ mod tests {
             used.insert(a.shard_of_process(p));
         }
         assert!(used.len() > 1, "every process landed on one shard");
-        assert_eq!(a.home_of("alpha"), b.home_of("alpha"));
     }
 
     #[test]
     fn shard_map_growth_is_rebalance_stable() {
-        let before = ShardMap::new(4, 0);
-        let after = ShardMap::new(5, 0);
-        let labels: Vec<String> = (0..256).map(|i| format!("label-{i}")).collect();
-        let moved = labels
-            .iter()
-            .filter(|l| before.home_of(l) != after.home_of(l))
+        let before = ShardMap::new(4, 256);
+        let after = ShardMap::new(5, 256);
+        let moved = (0..256)
+            .filter(|&p| before.shard_of_process(p) != after.shard_of_process(p))
             .count();
-        // Consistent hashing moves ~1/K of the keys on growth; half is
-        // a generous ceiling that a mod-K rehash (which moves ~all)
+        // Consistent hashing moves ~1/K of the groups on growth; half
+        // is a generous ceiling that a mod-K rehash (which moves ~all)
         // blows through.
         assert!(moved > 0, "growth moved nothing — ring is degenerate");
         assert!(
-            moved < labels.len() / 2,
-            "growth moved {moved}/{} labels — not rebalance-stable",
-            labels.len()
+            moved < 256 / 2,
+            "growth moved {moved}/256 processes — not rebalance-stable"
         );
-    }
-
-    #[test]
-    fn reassign_overrides_the_ring() {
-        let mut map = ShardMap::new(4, 4);
-        let home = map.home_of("hot-label");
-        let other = (home + 1) % 4;
-        map.reassign("hot-label", other);
-        assert_eq!(map.home_of("hot-label"), other);
-    }
-
-    /// The satellite property test: moving a label between shards
-    /// preserves settled verdicts (and everything else observable).
-    #[test]
-    fn rebalance_preserves_settled_verdicts() {
-        for i in 0..8u64 {
-            let seed = mix(0x2EBA, i, 0x1A7C);
-            let case = DiffCase::configure(seed, Some(false));
-            let result = case.simulate().expect("sim runs");
-            let labels = result.label_names();
-            if labels.len() < 2 {
-                continue;
-            }
-            let mut sharded = ShardedMonitor::new(case.processes, 4);
-            for (w, (x, y)) in [(0, (0, 1)), (1, (1, 0))] {
-                sharded.watch(&format!("w{w}"), Relation::R4, &labels[x], &labels[y]);
-            }
-            for (p, seq, ev, lab) in wire_reports(&result) {
-                let refs: Vec<&str> = lab.iter().map(String::as_str).collect();
-                sharded.ingest(p, seq, ev, &refs).unwrap();
-            }
-            for l in &labels {
-                sharded.close(l);
-            }
-            sharded.poll();
-            let before = sharded.verdicts();
-            let checks: Vec<_> = labels
-                .iter()
-                .flat_map(|x| {
-                    labels
-                        .iter()
-                        .filter(move |y| *y != x)
-                        .flat_map(move |y| Relation::ALL.map(|rel| (rel, x.clone(), y.clone())))
-                })
-                .map(|(rel, x, y)| (sharded.check(rel, &x, &y), rel, x, y))
-                .collect();
-            // Move every label's home to a different shard.
-            for (j, l) in labels.iter().enumerate() {
-                let home = sharded.map().home_of(l);
-                sharded.rebalance(l, (home + 1 + j) % 4);
-            }
-            assert_eq!(sharded.verdicts(), before, "verdicts moved, seed {seed:#x}");
-            for (want, rel, x, y) in checks {
-                assert_eq!(
-                    sharded.check(rel, &x, &y),
-                    want,
-                    "check {rel}({x},{y}) moved, seed {seed:#x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_batch_apply_equals_sequential() {
-        for i in 0..6u64 {
-            let seed = mix(0xBA7C, i, 0x9A11);
-            let case = DiffCase::configure(seed, Some(false));
-            let result = case.simulate().expect("sim runs");
-            let labels = result.label_names();
-            if labels.is_empty() {
-                continue;
-            }
-            let reports = wire_reports(&result);
-            let mut seq = ShardedMonitor::new(case.processes, 4);
-            let mut par = ShardedMonitor::new(case.processes, 4);
-            for (p, s, ev, lab) in &reports {
-                let refs: Vec<&str> = lab.iter().map(String::as_str).collect();
-                seq.ingest(*p, *s, ev.clone(), &refs).unwrap();
-            }
-            par.ingest_batch_parallel(&reports).unwrap();
-            for l in &labels {
-                seq.close(l);
-                par.close(l);
-            }
-            for x in &labels {
-                for y in &labels {
-                    if x == y {
-                        continue;
-                    }
-                    for rel in Relation::ALL {
-                        assert_eq!(
-                            seq.check(rel, x, y),
-                            par.check(rel, x, y),
-                            "{rel}({x},{y}) seed {seed:#x}"
-                        );
-                    }
-                }
-            }
-            assert_eq!(seq.stats().applied, par.stats().applied);
-        }
     }
 
     #[test]
     fn coordinator_cache_hits_until_frontier_advances() {
-        let mut sharded = ShardedMonitor::new(2, 2);
-        sharded.ingest(0, 0, WireEvent::Internal, &["a"]).unwrap();
-        sharded.ingest(1, 0, WireEvent::Internal, &["b"]).unwrap();
-        let _ = sharded.check(Relation::R4, "a", "b");
-        let misses = sharded.coordinator().cache_misses();
-        let _ = sharded.check(Relation::R4, "a", "b");
+        // Two plain monitors stand in for two shards, each applying
+        // the reports of the process it owns.
+        let mut a = OnlineMonitor::new(2);
+        let mut b = OnlineMonitor::new(2);
+        a.ingest(0, 0, WireEvent::Internal, &["a"]).unwrap();
+        b.ingest(1, 0, WireEvent::Internal, &["b"]).unwrap();
+        let coord = Coordinator::new();
+        let check = |a: &OnlineMonitor, b: &OnlineMonitor| {
+            coord.check(&[a, b], false, false, Relation::R4, "a", "b")
+        };
+        check(&a, &b);
+        let misses = coord.cache_misses();
+        check(&a, &b);
         assert_eq!(
-            sharded.coordinator().cache_misses(),
+            coord.cache_misses(),
             misses,
             "second check re-fetched despite unchanged frontiers"
         );
-        assert!(sharded.coordinator().cache_hits() > 0);
+        assert!(coord.cache_hits() > 0);
         // Frontier advance invalidates.
-        sharded.ingest(0, 1, WireEvent::Internal, &["a"]).unwrap();
-        let _ = sharded.check(Relation::R4, "a", "b");
-        assert!(sharded.coordinator().cache_misses() > misses);
-    }
-
-    #[test]
-    fn facade_pruning_retires_on_every_shard() {
-        let mut sharded = ShardedMonitor::new(4, 2).with_pruning();
-        sharded.watch("w", Relation::R4, "a", "b");
-        for p in 0..4 {
-            sharded.ingest(p, 0, WireEvent::Internal, &["a"]).unwrap();
-            sharded.ingest(p, 1, WireEvent::Internal, &["b"]).unwrap();
-        }
-        sharded.close("a");
-        sharded.close("b");
-        let events = sharded.poll();
-        assert!(!events.is_empty(), "watch never settled");
-        assert!(sharded.is_retired("a") && sharded.is_retired("b"));
-        for i in 0..sharded.num_shards() {
-            assert!(sharded.shard(i).is_retired("a"));
-        }
-        // Tombstones keep closed/length semantics.
-        assert!(sharded.is_closed("a"));
-        assert_eq!(sharded.interval_len("a"), 4);
-        assert_eq!(sharded.check(Relation::R4, "a", "b"), Verdict::Unknown);
+        a.ingest(0, 1, WireEvent::Internal, &["a"]).unwrap();
+        check(&a, &b);
+        assert!(coord.cache_misses() > misses);
     }
 }

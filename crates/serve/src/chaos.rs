@@ -32,7 +32,7 @@ use crate::backend::Backend;
 use crate::client::{Client, ClientError, Pump};
 use crate::proto::{Command, Response};
 use crate::server::{CrashPlan, CrashPoint, RecoverError, Server, ServerConfig};
-use crate::storage::MemStorage;
+use crate::storage::SyncMemStorage;
 use crate::transport::{DuplexFactory, WireFactory};
 
 const SALT_CASE: u64 = 0xC405;
@@ -217,7 +217,7 @@ pub(crate) fn drive<B: Backend>(
     })
 }
 
-/// [`drive`] one [`Server`] over fresh [`MemStorage`], crashing at the
+/// [`drive`] one [`Server`] over fresh [`SyncMemStorage`], crashing at the
 /// chaos sweep's seed-derived points.
 pub(crate) fn drive_server(
     seed: u64,
@@ -225,8 +225,8 @@ pub(crate) fn drive_server(
     cc: &CaseCommands,
     crashes: u64,
     factory: &mut dyn WireFactory,
-) -> Result<RunResult<Server<MemStorage>>, String> {
-    let storage = MemStorage::new();
+) -> Result<RunResult<Server<SyncMemStorage>>, String> {
+    let storage = SyncMemStorage::new();
     drive(
         seed,
         cc,

@@ -36,7 +36,7 @@ use crate::client::{Client, ClientError, Pump};
 use crate::proto::Response;
 use crate::replica::{pump_replication, Follower, LeaseClock};
 use crate::server::Server;
-use crate::storage::MemStorage;
+use crate::storage::SyncMemStorage;
 use crate::transport::{DuplexFactory, NemesisCounts, NemesisFactory, WireFactory};
 
 pub use crate::chaos::ChaosMismatch as FailoverMismatch;
@@ -213,11 +213,11 @@ fn kill_promote_resume(
     let (client_end, mut server_end) = factory
         .pair()
         .map_err(|e| fail(seed, format!("wire bring-up failed: {e}")))?;
-    let mut primary = Server::recover(MemStorage::new(), cfg.clone())
+    let mut primary = Server::recover(SyncMemStorage::new(), cfg.clone())
         .map_err(|e| fail(seed, format!("primary bring-up failed: {e}")))?;
     primary.enable_replication(repl_cap);
     let mut follower = Some(
-        Follower::open(MemStorage::new(), cfg.clone())
+        Follower::open(SyncMemStorage::new(), cfg.clone())
             .map_err(|e| fail(seed, format!("follower bring-up failed: {e}")))?,
     );
     let mut client = Client::new(client_end, mix(seed, SALT_CLIENT, 1));

@@ -44,7 +44,9 @@
 //!   as replayable per-shard commands, group-commits batches per shard
 //!   in parallel, and recovers all shards (optionally in parallel)
 //!   into byte-identical verdicts — proven by its own per-shard-crash
-//!   chaos sweep.
+//!   chaos sweep and by the differential harness' sharded stage
+//!   ([`run_shard_differential_case`]). It is the workspace's only
+//!   sharded facade.
 //! * [`chaos`] — the seeded kill/restart sweep proving all of the
 //!   above: a reference run and a crash-riddled run must produce
 //!   identical verdicts and counters (over the duplex *and* over real
@@ -96,8 +98,11 @@ pub use replica::{pump_replication, Follower, FollowerStats, LeaseClock, ReplErr
 pub use server::{
     CrashPlan, CrashPoint, OverloadPolicy, RecoverError, Server, ServerConfig, ServerStats,
 };
-pub use shard::{run_shard_chaos_case, run_shard_chaos_seeds, ShardedServer, COORD_CLIENT};
-pub use storage::{DirStorage, MemStorage, Storage, SyncMemStorage};
+pub use shard::{
+    run_shard_chaos_case, run_shard_chaos_seeds, run_shard_differential_case, ShardedServer,
+    COORD_CLIENT,
+};
+pub use storage::{DirStorage, Storage, SyncMemStorage};
 pub use transport::{
     connect, DuplexFactory, FrameBuffer, ListenAddr, Listener, NemesisCounts, NemesisFactory,
     NemesisSink, NemesisTransport, StreamTransport, TcpLoopbackFactory, Transport, WireFactory,

@@ -31,7 +31,7 @@ use crate::chaos::{case_commands, case_config, compare_probes, drive_server, fai
 use crate::failover::run_nemesis_failover_case;
 use crate::proto::{decode_frame, decode_response, make_req, request_frame, Command, Response};
 use crate::shard::ShardedServer;
-use crate::storage::MemStorage;
+use crate::storage::SyncMemStorage;
 use crate::transport::{DuplexFactory, NemesisCounts, NemesisFactory};
 use synchrel_monitor::online::Verdict;
 use synchrel_monitor::shard::ShardMap;
@@ -188,13 +188,13 @@ fn run_partition_case(seed: u64, plan_seed: u64) -> Result<NemesisOutcome, Nemes
     let cfg = case_config(seed, cc.processes);
     let k = 2 + (mix(plan_seed, SALT_NSHARD, 0) % 3) as usize;
     let map = ShardMap::new(k, cc.processes);
-    let mk = || (0..k).map(|_| MemStorage::new()).collect::<Vec<_>>();
+    let mk = || (0..k).map(|_| SyncMemStorage::new()).collect::<Vec<_>>();
 
     // Both runs speak raw frames as one lockstep client: the sequence
     // number only advances once a command is answered, which is exactly
     // the invariant that makes heal-replay safe (a real client never
     // skips ahead of an unanswered id).
-    let call = |srv: &mut ShardedServer<MemStorage>,
+    let call = |srv: &mut ShardedServer<SyncMemStorage>,
                 seq: &mut u64,
                 cmd: &Command|
      -> Result<Option<Response>, String> {

@@ -509,7 +509,7 @@ pub fn pump_replication<P: Storage, F: Storage>(
 mod tests {
     use super::*;
     use crate::proto::{make_req, Command, Response};
-    use crate::storage::MemStorage;
+    use crate::storage::SyncMemStorage;
     use synchrel_monitor::online::WireEvent;
 
     fn ingest(i: u64) -> Command {
@@ -545,9 +545,9 @@ mod tests {
     #[test]
     fn records_replicate_and_follower_promotes_to_equal_state() {
         let cfg = ServerConfig::new(1);
-        let mut primary = Server::recover(MemStorage::new(), cfg.clone()).unwrap();
+        let mut primary = Server::recover(SyncMemStorage::new(), cfg.clone()).unwrap();
         primary.enable_replication(64);
-        let mut follower = Follower::open(MemStorage::new(), cfg).unwrap();
+        let mut follower = Follower::open(SyncMemStorage::new(), cfg).unwrap();
 
         for i in 0..10u64 {
             assert_eq!(drive_one(&mut primary, i, &ingest(i)), Response::Ack);
@@ -567,9 +567,9 @@ mod tests {
     #[test]
     fn acked_lsn_never_exceeds_primary_durable() {
         let cfg = ServerConfig::new(1);
-        let mut primary = Server::recover(MemStorage::new(), cfg.clone()).unwrap();
+        let mut primary = Server::recover(SyncMemStorage::new(), cfg.clone()).unwrap();
         primary.enable_replication(4);
-        let mut follower = Follower::open(MemStorage::new(), cfg).unwrap();
+        let mut follower = Follower::open(SyncMemStorage::new(), cfg).unwrap();
         for i in 0..50u64 {
             drive_one(&mut primary, i, &ingest(i));
             if i % 7 == 0 {
@@ -584,9 +584,9 @@ mod tests {
     #[test]
     fn queue_overflow_degrades_to_resync_not_blocking() {
         let cfg = ServerConfig::new(1);
-        let mut primary = Server::recover(MemStorage::new(), cfg.clone()).unwrap();
+        let mut primary = Server::recover(SyncMemStorage::new(), cfg.clone()).unwrap();
         primary.enable_replication(4);
-        let mut follower = Follower::open(MemStorage::new(), cfg).unwrap();
+        let mut follower = Follower::open(SyncMemStorage::new(), cfg).unwrap();
 
         // Never pump: the bounded queue must overflow, and the primary
         // must keep acking clients regardless.
@@ -613,9 +613,9 @@ mod tests {
     #[test]
     fn gap_triggers_resync_request_and_recovers() {
         let cfg = ServerConfig::new(1);
-        let mut primary = Server::recover(MemStorage::new(), cfg.clone()).unwrap();
+        let mut primary = Server::recover(SyncMemStorage::new(), cfg.clone()).unwrap();
         primary.enable_replication(64);
-        let mut follower = Follower::open(MemStorage::new(), cfg).unwrap();
+        let mut follower = Follower::open(SyncMemStorage::new(), cfg).unwrap();
 
         for i in 0..6u64 {
             drive_one(&mut primary, i, &ingest(i));
@@ -640,9 +640,9 @@ mod tests {
     fn snapshot_frames_install_and_supersede() {
         let mut cfg = ServerConfig::new(1);
         cfg.snapshot_every = 4;
-        let mut primary = Server::recover(MemStorage::new(), cfg.clone()).unwrap();
+        let mut primary = Server::recover(SyncMemStorage::new(), cfg.clone()).unwrap();
         primary.enable_replication(64);
-        let mut follower = Follower::open(MemStorage::new(), cfg).unwrap();
+        let mut follower = Follower::open(SyncMemStorage::new(), cfg).unwrap();
         for i in 0..10u64 {
             drive_one(&mut primary, i, &ingest(i));
         }
@@ -660,9 +660,9 @@ mod tests {
     #[test]
     fn multi_client_watermarks_replicate() {
         let cfg = ServerConfig::new(1);
-        let mut primary = Server::recover(MemStorage::new(), cfg.clone()).unwrap();
+        let mut primary = Server::recover(SyncMemStorage::new(), cfg.clone()).unwrap();
         primary.enable_replication(64);
-        let mut follower = Follower::open(MemStorage::new(), cfg).unwrap();
+        let mut follower = Follower::open(SyncMemStorage::new(), cfg).unwrap();
         for i in 0..4u64 {
             drive_one(&mut primary, make_req(0, i), &ingest(i));
             drive_one(&mut primary, make_req(7, i), &ingest(100 + i));

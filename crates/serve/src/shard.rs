@@ -48,7 +48,11 @@
 use std::collections::BTreeSet;
 use std::thread;
 
-use synchrel_core::Relation;
+use synchrel_core::{Oracle, Relation};
+use synchrel_monitor::differential::{
+    self, compare_verdicts, labelled_intervals, oracle_verdict, perturbed_reports,
+    replay_perturbed, CaseOutcome, DiffCase, Mismatch, WireReport,
+};
 use synchrel_monitor::online::{OnlineMonitor, Verdict};
 use synchrel_monitor::shard::{
     next_concession, prune_candidates, shard_stats, transfer_round_masked, Coordinator, ShardMap,
@@ -983,6 +987,120 @@ pub fn run_shard_chaos_seeds(
     })
 }
 
+/// Feed a perturbed stream to a fresh K-shard server the way
+/// [`replay_perturbed`] feeds one monitor: every delivery (and its
+/// transport duplicate) as its own `Ingest`, each followed by a drain
+/// and transfer fixpoint, then `DeclareComplete` when reports were
+/// dropped, then a `Close` per label.
+fn replay_sharded(
+    k: usize,
+    deliveries: &[(WireReport, bool)],
+    totals: &[u64],
+    drops: bool,
+    labels: &[String],
+) -> Result<ShardedServer<SyncMemStorage>, String> {
+    let processes = totals.len();
+    let storages = (0..k).map(|_| SyncMemStorage::new()).collect();
+    let cfg = ServerConfig::new(processes);
+    let mut srv = ShardedServer::recover(storages, &cfg, ShardMap::new(k, processes))
+        .map_err(|e| format!("recovery failed: {e}"))?;
+    let mut next = 0;
+    let mut call = |srv: &mut ShardedServer<SyncMemStorage>, cmd: Command| {
+        let bytes = srv
+            .handle_bytes(&request_frame(make_req(1, next), &cmd))
+            .ok_or_else(|| format!("{cmd:?} went unanswered"))?;
+        next += 1;
+        srv.drain(0);
+        let resp = decode_frame(&bytes)
+            .and_then(|f| decode_response(&f.payload))
+            .map_err(|e| format!("bad response to {cmd:?}: {e}"))?;
+        match resp {
+            Response::Ack | Response::Conceded(_) => Ok(()),
+            other => Err(format!("{cmd:?} answered {other:?}")),
+        }
+    };
+    for ((process, seq, event, labels), dup) in deliveries {
+        let cmd = Command::Ingest {
+            process: *process,
+            seq: *seq,
+            event: event.clone(),
+            labels: labels.clone(),
+        };
+        for _ in 0..=usize::from(*dup) {
+            call(&mut srv, cmd.clone())?;
+        }
+    }
+    if drops {
+        let totals = totals.to_vec();
+        call(&mut srv, Command::DeclareComplete { totals })?;
+    }
+    for label in labels {
+        let label = label.clone();
+        call(&mut srv, Command::Close { label })?;
+    }
+    Ok(srv)
+}
+
+/// The differential harness' sharded stage: [`differential::run_case`],
+/// then the case's perturbed wire streams ([`perturbed_reports`]),
+/// clean and lossy, through [`ShardedServer`] at K ∈ {1, 2, 4}. Each
+/// run must match the unsharded monitor fed the same stream on health
+/// (degraded, lost, pending, duplicates) and on `check` for every
+/// ordered pair and relation — the lossy comparison pins the degraded
+/// decay, not just the exact table. Clean runs must also match the
+/// oracle.
+pub fn run_shard_differential_case(case: &DiffCase) -> Result<CaseOutcome, Mismatch> {
+    let outcome = differential::run_case(case)?;
+    if outcome.skipped {
+        return Ok(outcome);
+    }
+    let seed = case.seed;
+    let result = case.simulate()?;
+    let named = labelled_intervals(&result);
+    let labels: Vec<String> = named.iter().map(|(l, _)| l.clone()).collect();
+    let oracle = Oracle::new(&result.exec);
+    let fail = |detail: String| Mismatch { seed, detail };
+    let health = |s: MonitorStats| (s.degraded, s.lost, s.pending, s.duplicates);
+    for drops in [false, true] {
+        let stage = if drops { "sharded-lossy" } else { "sharded" };
+        let reference = replay_perturbed(&result, &labels, seed, drops)
+            .map_err(|e| fail(format!("{stage} reference replay failed: {e}")))?;
+        let (deliveries, totals) = perturbed_reports(&result, seed, drops);
+        for k in [1, 2, 4] {
+            let stage = format!("{stage}(k={k})");
+            let sharded = replay_sharded(k, &deliveries, &totals, drops, &labels)
+                .map_err(|e| fail(format!("{stage} replay failed: {e}")))?;
+            let (want, got) = (health(reference.stats()), health(sharded.monitor_stats()));
+            if got != want {
+                return Err(fail(format!(
+                    "{stage}: health (degraded, lost, pending, duplicates) diverged — \
+                     {got:?}, unsharded says {want:?}"
+                )));
+            }
+            let check = |rel, x: usize, y: usize| sharded.check(rel, &named[x].0, &named[y].0);
+            compare_verdicts(
+                seed,
+                &named,
+                &stage,
+                "unsharded",
+                |rel, x, y| reference.check(rel, &named[x].0, &named[y].0),
+                check,
+            )?;
+            if !drops {
+                compare_verdicts(
+                    seed,
+                    &named,
+                    &stage,
+                    "oracle",
+                    |rel, x, y| oracle_verdict(&oracle, &named, rel, x, y),
+                    check,
+                )?;
+            }
+        }
+    }
+    Ok(outcome)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1164,6 +1282,73 @@ mod tests {
         // K=1 exercises the facade plumbing with no cross-shard ops.
         let stats = run_shard_chaos_seeds(0xF00D, 4, 1).expect("K=1 must agree");
         assert_eq!(stats.cases, 4);
+    }
+
+    #[test]
+    fn sharded_matches_unsharded_clean() {
+        // Quiet simulations: the sharded stage on top of every
+        // unsharded evaluator.
+        for i in 0..12u64 {
+            let case = DiffCase::configure(mix(0x5AAD, i, 0xC0DE), Some(false));
+            run_shard_differential_case(&case).unwrap_or_else(|m| panic!("{m}"));
+        }
+    }
+
+    #[test]
+    fn sharded_matches_unsharded_lossy() {
+        // Fault-injected simulations (dropped, delayed and duplicated
+        // messages), replayed clean and with lost reports.
+        for i in 0..12u64 {
+            let case = DiffCase::configure(mix(0x10_55, i, 0xC0DE), Some(true));
+            run_shard_differential_case(&case).unwrap_or_else(|m| panic!("{m}"));
+        }
+    }
+
+    #[test]
+    fn facade_pruning_retires_on_every_shard() {
+        let mut cfg = ServerConfig::new(4);
+        cfg.pruning = true;
+        let storages = vec![SyncMemStorage::new(), SyncMemStorage::new()];
+        let mut srv = ShardedServer::recover(storages, &cfg, ShardMap::new(2, 4)).unwrap();
+        let mut seq = 0;
+        let watch = Command::Watch {
+            name: "w".into(),
+            rel: Relation::R4,
+            x: "a".into(),
+            y: "b".into(),
+        };
+        call(&mut srv, &mut seq, &watch);
+        for p in 0..4 {
+            call(
+                &mut srv,
+                &mut seq,
+                &ingest(p, 0, WireEvent::Internal, &["a"]),
+            );
+            call(
+                &mut srv,
+                &mut seq,
+                &ingest(p, 1, WireEvent::Internal, &["b"]),
+            );
+        }
+        for label in ["a", "b"] {
+            let close = Command::Close {
+                label: label.into(),
+            };
+            call(&mut srv, &mut seq, &close);
+        }
+        let Response::Events(events) = call(&mut srv, &mut seq, &Command::Poll) else {
+            panic!("poll must answer with events");
+        };
+        assert!(!events.is_empty(), "watch never settled");
+        let monitors: Vec<&OnlineMonitor> = (0..2).map(|i| srv.shard(i).monitor()).collect();
+        for m in &monitors {
+            assert!(m.is_retired("a") && m.is_retired("b"));
+            // Tombstones keep closed semantics.
+            assert!(m.is_closed("a"));
+        }
+        let len: usize = monitors.iter().map(|m| m.interval_len("a")).sum();
+        assert_eq!(len, 4, "tombstones keep the interval's length");
+        assert_eq!(srv.check(Relation::R4, "a", "b"), Verdict::Unknown);
     }
 
     #[test]

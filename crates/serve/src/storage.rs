@@ -4,18 +4,17 @@
 //! The [`Storage`] trait is the narrow waist between the service logic
 //! and the medium. [`DirStorage`] is the real thing — files in a
 //! directory, `fsync`ed on [`Storage::wal_sync`], snapshot replaced
-//! atomically via temp-file + rename. [`MemStorage`] is the chaos
-//! harness's medium: it shares its bytes between the "crashed" and the
-//! recovered server through a shared handle, and exposes fault hooks
+//! atomically via temp-file + rename. [`SyncMemStorage`] is the test
+//! and chaos harnesses' medium: it shares its bytes between the
+//! "crashed" and the recovered server (or a server thread and its
+//! promoted successor) through a shared handle, and exposes fault hooks
 //! (tail truncation, byte corruption) that deterministic tests drive.
 //!
 //! Both count `wal_sync` calls so the fsync rate is observable.
 
-use std::cell::RefCell;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 /// WAL file name inside a [`DirStorage`] directory.
@@ -50,79 +49,9 @@ struct MemInner {
 }
 
 /// In-memory storage whose bytes outlive any one server: clones share
-/// state, so the chaos harness keeps a handle across a kill/restart.
-#[derive(Clone, Debug, Default)]
-pub struct MemStorage {
-    inner: Rc<RefCell<MemInner>>,
-}
-
-impl MemStorage {
-    /// Fresh empty storage.
-    pub fn new() -> MemStorage {
-        MemStorage::default()
-    }
-
-    /// Fault hook: chop `n` bytes off the WAL tail (a torn final
-    /// write). Chopping more than the WAL holds empties it.
-    pub fn truncate_wal_tail(&self, n: usize) {
-        let mut inner = self.inner.borrow_mut();
-        let keep = inner.wal.len().saturating_sub(n);
-        inner.wal.truncate(keep);
-    }
-
-    /// Fault hook: flip one byte of the WAL (media corruption).
-    pub fn corrupt_wal_byte(&self, offset: usize) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(b) = inner.wal.get_mut(offset) {
-            *b ^= 0xFF;
-        }
-    }
-
-    /// Current WAL length in bytes.
-    pub fn wal_len(&self) -> usize {
-        self.inner.borrow().wal.len()
-    }
-}
-
-impl Storage for MemStorage {
-    fn wal_bytes(&self) -> io::Result<Vec<u8>> {
-        Ok(self.inner.borrow().wal.clone())
-    }
-
-    fn wal_append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.inner.borrow_mut().wal.extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn wal_sync(&mut self) -> io::Result<()> {
-        self.inner.borrow_mut().syncs += 1;
-        Ok(())
-    }
-
-    fn wal_replace(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.inner.borrow_mut().wal = bytes.to_vec();
-        Ok(())
-    }
-
-    fn snapshot_bytes(&self) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.inner.borrow().snapshot.clone())
-    }
-
-    fn snapshot_replace(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.inner.borrow_mut().snapshot = Some(bytes.to_vec());
-        Ok(())
-    }
-
-    fn syncs(&self) -> u64 {
-        self.inner.borrow().syncs
-    }
-}
-
-/// [`MemStorage`]'s thread-safe twin: same clone-shared in-memory
-/// bytes, but behind `Arc<Mutex<_>>` so the replication and failover
-/// harnesses can hand one handle to a server thread and keep another
-/// for the promoted successor. No fault hooks — threaded tests kill
-/// whole servers, not individual writes.
+/// state behind `Arc<Mutex<_>>`, so a harness keeps a handle across a
+/// kill/restart, or hands one to a server thread and keeps another for
+/// the promoted successor.
 #[derive(Clone, Debug, Default)]
 pub struct SyncMemStorage {
     inner: Arc<Mutex<MemInner>>,
@@ -132,6 +61,20 @@ impl SyncMemStorage {
     /// Fresh empty storage.
     pub fn new() -> SyncMemStorage {
         SyncMemStorage::default()
+    }
+
+    /// Fault hook: chop `n` bytes off the WAL tail (a torn final
+    /// write). Chopping more than the WAL holds empties it.
+    pub fn truncate_wal_tail(&self, n: usize) {
+        let wal = &mut self.inner.lock().unwrap().wal;
+        wal.truncate(wal.len().saturating_sub(n));
+    }
+
+    /// Fault hook: flip one byte of the WAL (media corruption).
+    pub fn corrupt_wal_byte(&self, offset: usize) {
+        if let Some(b) = self.inner.lock().unwrap().wal.get_mut(offset) {
+            *b ^= 0xFF;
+        }
     }
 
     /// Current WAL length in bytes.
@@ -259,7 +202,7 @@ mod tests {
 
     #[test]
     fn mem_storage_shares_state_across_clones() {
-        let mut a = MemStorage::new();
+        let mut a = SyncMemStorage::new();
         let b = a.clone();
         a.wal_append(b"hello").unwrap();
         a.wal_sync().unwrap();
@@ -271,7 +214,7 @@ mod tests {
 
     #[test]
     fn mem_storage_corruption_hook_flips_bytes() {
-        let mut s = MemStorage::new();
+        let mut s = SyncMemStorage::new();
         s.wal_append(&[0xAA, 0xBB]).unwrap();
         s.corrupt_wal_byte(1);
         assert_eq!(s.wal_bytes().unwrap(), vec![0xAA, 0x44]);

@@ -1,15 +1,15 @@
 //! Recovery, overload, and idempotency tests at the service level.
 //!
 //! Everything here goes through the public wire protocol — frames in,
-//! frames out — against [`MemStorage`] with its fault hooks, so each
+//! frames out — against [`SyncMemStorage`] with its fault hooks, so each
 //! test is a tiny deterministic crash drill.
 
 use synchrel_core::Relation;
 use synchrel_monitor::online::{Verdict, WireEvent};
 use synchrel_serve::proto::{decode_frame, decode_response, request_frame, KIND_RESPONSE};
 use synchrel_serve::{
-    duplex, Backend, Client, ClientError, Command, CrashPlan, CrashPoint, Endpoint, MemStorage,
-    OverloadPolicy, Pump, RecoverError, Response, Server, ServerConfig,
+    duplex, Backend, Client, ClientError, Command, CrashPlan, CrashPoint, Endpoint, OverloadPolicy,
+    Pump, RecoverError, Response, Server, ServerConfig, SyncMemStorage,
 };
 
 /// Both ends of one in-process connection: the server no longer owns
@@ -31,7 +31,7 @@ fn duplex_wire() -> Wire {
 }
 
 /// Send one request frame and pump the server; panic if no response.
-fn call(server: &mut Server<MemStorage>, wire: &Wire, req: u64, cmd: &Command) -> Response {
+fn call(server: &mut Server<SyncMemStorage>, wire: &Wire, req: u64, cmd: &Command) -> Response {
     wire.send(request_frame(req, cmd));
     server.pump(&mut wire.server.clone(), 0);
     take_response(wire, req).expect("server did not respond")
@@ -75,9 +75,9 @@ fn scenario() -> Vec<Command> {
     ]
 }
 
-fn fresh(cfg: ServerConfig) -> (Server<MemStorage>, Wire, MemStorage) {
+fn fresh(cfg: ServerConfig) -> (Server<SyncMemStorage>, Wire, SyncMemStorage) {
     let wire = duplex_wire();
-    let storage = MemStorage::new();
+    let storage = SyncMemStorage::new();
     let server = Server::recover(storage.clone(), cfg).expect("fresh bring-up");
     (server, wire, storage)
 }
@@ -138,7 +138,7 @@ fn kill_and_recover_at_every_crash_point() {
         for nth in 1..=5 {
             let cfg = ServerConfig::new(2);
             let mut wire = duplex_wire();
-            let storage = MemStorage::new();
+            let storage = SyncMemStorage::new();
             let mut server = Server::recover(storage.clone(), cfg.clone()).unwrap();
             server.arm_crash(CrashPlan {
                 nth_logged: nth,
