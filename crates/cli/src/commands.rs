@@ -5,7 +5,7 @@ use std::process::ExitCode;
 
 use synchrel_core::{
     pair_slot, strongest, CompareCounter, Detector, Diagram, EvalMode, Evaluator, Execution,
-    MeterSnapshot, NonatomicEvent, Proxy, ProxyRelation, Relation,
+    MeterSnapshot, NonatomicEvent, ProxyRelation, Relation,
 };
 use synchrel_monitor::differential::{run_seeds, shrink, DiffCase, Mismatch};
 use synchrel_monitor::predicate::{possibly_overlap, LocalInterval};
@@ -351,10 +351,7 @@ fn analyze(a: &Args) -> Result<ExitCode, AnyError> {
             let rep = &reports[pair_slot(names.len(), i, j)];
             let held: Vec<Relation> = Relation::ALL
                 .into_iter()
-                .filter(|&rel| {
-                    let (xp, yp) = canonical_proxies(rel);
-                    rep.relations.contains(ProxyRelation::new(rel, xp, yp))
-                })
+                .filter(|&rel| rep.relations.contains(ProxyRelation::canonical(rel)))
                 .collect();
             let s = strongest(&held);
             let cell = if s.is_empty() {
@@ -402,17 +399,6 @@ fn write_metrics(path: &str, reg: &MetricsRegistry) -> Result<(), AnyError> {
     };
     std::fs::write(path, body)?;
     Ok(())
-}
-
-/// The Definition-2 proxy pair under which the proxy relation equals
-/// the base relation on `(X, Y)`.
-fn canonical_proxies(rel: Relation) -> (Proxy, Proxy) {
-    match rel {
-        Relation::R1 | Relation::R1p => (Proxy::U, Proxy::L),
-        Relation::R2 | Relation::R2p => (Proxy::U, Proxy::U),
-        Relation::R3 | Relation::R3p => (Proxy::L, Proxy::L),
-        Relation::R4 | Relation::R4p => (Proxy::L, Proxy::U),
-    }
 }
 
 fn check(a: &Args) -> Result<ExitCode, AnyError> {

@@ -187,6 +187,44 @@ fn check_spec_pass_and_fail() {
     let o = run(&["check", trace.to_str().unwrap(), bad.to_str().unwrap()]);
     assert_eq!(o.status.code(), Some(1));
     assert!(stdout(&o).contains("FAIL"), "{}", stdout(&o));
+
+    // A random trace and a spec mixing every kind of condition, with an
+    // unbound name: every mode, sequential and parallel, prints
+    // byte-identical reports.
+    use synchrel_core::{Proxy, Relation};
+    use synchrel_monitor::{Condition, Spec};
+    let (rand, mixed) = (dir.join("rand.json"), dir.join("mixed.json"));
+    let args = "gen random --processes 4 --events 30 --intervals 16 --nodes 2 --prob 0.5 -o";
+    gen(&[args.split(' ').collect(), vec![rand.to_str().unwrap()]].concat());
+    let a = |k: usize| format!("A{}", k % 16);
+    let mut spec = Spec::new("mixed").require("ghost", Condition::rel(Relation::R1, "A0", "ghost"));
+    for k in 0..16 {
+        let (rel, x, y, p) = (Relation::ALL[k % 8], a(k), a(5 * k + 3), Proxy::ALL);
+        let group: Vec<String> = (0..4).map(|i| a(k + 5 * i)).collect();
+        spec = spec
+            .require(format!("rel{k}"), Condition::rel(rel, &x, &y))
+            .require(
+                format!("proxy{k}"),
+                Condition::proxy_rel(rel, p[k % 2], p[k / 2 % 2], x, y),
+            )
+            .require(format!("mutex{k}"), Condition::mutex(group.clone()))
+            .require(format!("ordered{k}"), Condition::ordered(group));
+    }
+    std::fs::write(&mixed, spec.to_json()).unwrap();
+    let check = |mode: &str, threads: &str| {
+        let (t, m) = (rand.to_str().unwrap(), mixed.to_str().unwrap());
+        let o = run(&["check", t, m, "--mode", mode, "--threads", threads]);
+        assert_eq!(o.status.code(), Some(1), "{mode} × {threads}");
+        stdout(&o)
+    };
+    let s = check("exact", "1");
+    assert!(s.contains(r#"unbound event(s): ["ghost"]"#), "{s}");
+    assert!(s.contains("are not exclusive"), "{s}");
+    for mode in ["exact", "fused", "batched", "incremental"] {
+        for threads in ["1", "2"] {
+            assert_eq!(s, check(mode, threads), "{mode} × {threads} diverged");
+        }
+    }
 }
 
 #[test]

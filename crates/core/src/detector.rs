@@ -247,7 +247,15 @@ impl<'a> Detector<'a> {
 
     /// Problem 4(i): does the specific relation `pr` hold for the pair
     /// `(events[xi], events[yi])`?
+    ///
+    /// In [`EvalMode::Counted`] only `pr` is evaluated, on its own
+    /// Theorem-20 comparison path. Every other mode answers by
+    /// membership in the set [`Detector::pair`] returns, self-pairs
+    /// included (the incremental mode's fused fallback).
     pub fn holds(&self, pr: ProxyRelation, xi: usize, yi: usize) -> Result<bool> {
+        if self.mode != EvalMode::Counted {
+            return Ok(self.pair(xi, yi)?.relations.contains(pr));
+        }
         self.check_index(xi)?;
         self.check_index(yi)?;
         let sx = self.summary(xi);

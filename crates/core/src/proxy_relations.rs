@@ -87,6 +87,21 @@ impl ProxyRelation {
         }
     }
 
+    /// The proxy form of the base relation `rel` on `(X, Y)`: the
+    /// Definition-2 proxy pair under which `R(X̂, Ŷ)` equals `R(X, Y)` —
+    /// `(U_X, L_Y)` for R1 and R1', `(U_X, U_Y)` for R2 and R2',
+    /// `(L_X, L_Y)` for R3 and R3', `(L_X, U_Y)` for R4 and R4' (see
+    /// [`crate::proxy_baseline`]).
+    pub fn canonical(rel: Relation) -> ProxyRelation {
+        let (x_proxy, y_proxy) = match rel {
+            Relation::R1 | Relation::R1p => (Proxy::U, Proxy::L),
+            Relation::R2 | Relation::R2p => (Proxy::U, Proxy::U),
+            Relation::R3 | Relation::R3p => (Proxy::L, Proxy::L),
+            Relation::R4 | Relation::R4p => (Proxy::L, Proxy::U),
+        };
+        ProxyRelation::new(rel, x_proxy, y_proxy)
+    }
+
     /// All 32 relations, ordered by `(x_proxy, y_proxy, relation)`.
     pub fn all() -> impl Iterator<Item = ProxyRelation> {
         Proxy::ALL.into_iter().flat_map(|xp| {

@@ -230,7 +230,8 @@ pub(crate) mod arena_seg {
 /// keyed by event index — the structure-of-arrays twin of a
 /// `Vec<ProxySummary>` — plus each event's node list.
 ///
-/// Layout is **transposed** relative to [`EventSummary`]: the value of
+/// Layout is **transposed** relative to
+/// [`EventSummary`](crate::linear::EventSummary): the value of
 /// segment `seg` of proxy `p` at node `i` for event `e` lives at
 /// `((p·6 + seg)·|P| + i)·n + e`. Fixing `(p, seg, i)` therefore yields
 /// one contiguous row across *all* events, which is exactly what the

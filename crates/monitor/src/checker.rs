@@ -1,22 +1,24 @@
 //! Offline spec checking against a recorded trace.
 //!
 //! A [`Checker`] binds the names mentioned by a [`Spec`] to concrete
-//! [`NonatomicEvent`]s of one execution, evaluates every requirement
-//! using the linear-time evaluator (with summaries cached per event —
-//! Key Idea 1), and produces a [`CheckReport`]. Violated relation
-//! conditions come with a concrete witness pair where one exists, which
-//! is what an engineer debugging a real-time trace actually needs.
+//! [`NonatomicEvent`]s of one execution and answers every requirement
+//! through one [`Detector`] over those events: each event's summaries
+//! are computed once (Key Idea 1), and every relation condition is a
+//! [`Detector::holds`] query under the detector's [`EvalMode`]. It
+//! produces a [`CheckReport`]. Violated relation conditions come with a
+//! concrete witness pair where one exists, which is what an engineer
+//! debugging a real-time trace actually needs.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, PoisonError, RwLock};
 
 use synchrel_core::{
-    naive_relation, pair_slot, EvalMode, Evaluator, Execution, IncrementalDetector, NonatomicEvent,
-    ProxyRelation, ProxySummary, Relation, RelationSet, RowSlabs, SummaryArena, TilePartition,
+    naive_relation, Detector, EvalMode, Execution, NonatomicEvent, ProxyRelation, Relation,
+    RowSlabs, TilePartition,
 };
 
-use crate::spec::{Condition, Spec};
+use crate::mutex;
+use crate::spec::{Condition, Requirement, Spec};
 
 /// Verdict and explanation for one requirement.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,44 +78,13 @@ impl fmt::Display for CheckReport {
 }
 
 /// Binds named events of one execution and checks specs against them.
+///
+/// The bound events are registered with one [`Detector`] in name order;
+/// `index` maps each name to its detector index.
 pub struct Checker<'a> {
     exec: &'a Execution,
-    bindings: BTreeMap<String, NonatomicEvent>,
-    summaries: RwLock<BTreeMap<String, Arc<ProxySummary>>>,
-    mode: EvalMode,
-    arena: RwLock<Option<Arc<SummaryArena>>>,
-    incr: RwLock<Option<Arc<IncrMatrix>>>,
-}
-
-/// Cached verdicts from one canonical incremental replay over the
-/// bound events (binding order), mirroring the detector's sweep cache:
-/// every `(x, y)` lookup then answers from the same settled state, so
-/// results cannot depend on question order.
-struct IncrMatrix {
-    n: usize,
-    sets: Vec<RelationSet>,
-}
-
-impl IncrMatrix {
-    fn build(exec: &Execution, events: &[NonatomicEvent]) -> IncrMatrix {
-        let n = events.len();
-        let mut sets = Vec::with_capacity(n * n.saturating_sub(1));
-        if n >= 2 {
-            let det = IncrementalDetector::replay(exec, events);
-            for x in 0..n {
-                for y in 0..n {
-                    if x != y {
-                        sets.push(det.relations(x, y).expect("replayed pair"));
-                    }
-                }
-            }
-        }
-        IncrMatrix { n, sets }
-    }
-
-    fn get(&self, x: usize, y: usize) -> RelationSet {
-        self.sets[pair_slot(self.n, x, y)]
-    }
+    index: BTreeMap<String, usize>,
+    detector: Detector<'a>,
 }
 
 impl<'a> Checker<'a> {
@@ -122,181 +93,56 @@ impl<'a> Checker<'a> {
         exec: &'a Execution,
         bindings: impl IntoIterator<Item = (String, NonatomicEvent)>,
     ) -> Self {
+        let bound: BTreeMap<String, NonatomicEvent> = bindings.into_iter().collect();
+        let (names, events): (Vec<String>, Vec<NonatomicEvent>) = bound.into_iter().unzip();
         Checker {
             exec,
-            bindings: bindings.into_iter().collect(),
-            summaries: RwLock::new(BTreeMap::new()),
-            mode: EvalMode::Counted,
-            arena: RwLock::new(None),
-            incr: RwLock::new(None),
+            index: names.into_iter().enumerate().map(|(i, n)| (n, i)).collect(),
+            detector: Detector::new(exec, events),
         }
     }
 
-    /// Select the kernel used for relation conditions.
-    /// [`EvalMode::Counted`] (the default) evaluates each proxy relation
-    /// on its own Theorem-20 comparison path. [`EvalMode::Fused`] and
-    /// [`EvalMode::Batched`] compute the full 32-relation set for the
-    /// pair in one pass and answer by membership — identical verdicts,
-    /// cheaper when a spec asks several questions about the same pair.
-    /// [`EvalMode::Incremental`] replays the bound events through the
-    /// stateful [`IncrementalDetector`] once (binding order) and answers
-    /// every condition from the settled verdict matrix; self-pairs fall
-    /// back to the fused kernel, matching the detector's convention.
-    pub fn with_mode(mut self, mode: EvalMode) -> Self {
-        self.mode = mode;
-        self
+    /// Select the detector's [`EvalMode`]. Relation conditions follow
+    /// [`Detector::holds`]: identical verdicts in every mode, with
+    /// [`EvalMode::Counted`] (the default) evaluating only the relation
+    /// asked and every other mode the pair's full 32-relation set.
+    pub fn with_mode(self, mode: EvalMode) -> Self {
+        Checker {
+            detector: self.detector.with_mode(mode),
+            ..self
+        }
     }
 
     /// The active evaluation mode.
     pub fn mode(&self) -> EvalMode {
-        self.mode
+        self.detector.mode()
     }
 
     /// The bound event names.
     pub fn names(&self) -> Vec<&str> {
-        self.bindings.keys().map(String::as_str).collect()
+        self.index.keys().map(String::as_str).collect()
     }
 
     /// Look up a bound event.
     pub fn event(&self, name: &str) -> Option<&NonatomicEvent> {
-        self.bindings.get(name)
+        self.detector.event(*self.index.get(name)?)
     }
 
-    fn summary(&self, name: &str) -> Option<Arc<ProxySummary>> {
-        if let Some(s) = self
-            .summaries
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(name)
-        {
-            return Some(Arc::clone(s));
-        }
-        let ev = self.bindings.get(name)?;
-        let s = Arc::new(Evaluator::new(self.exec).summarize_proxies(ev));
-        self.summaries
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::clone(&s));
-        Some(s)
+    /// Does `pr` hold between two bound names? `None` if either name
+    /// is unbound.
+    fn holds(&self, pr: ProxyRelation, x: &str, y: &str) -> Option<bool> {
+        let (xi, yi) = (*self.index.get(x)?, *self.index.get(y)?);
+        Some(self.detector.holds(pr, xi, yi).expect("bound indices"))
     }
 
-    /// The shared SoA arena over all bound events, built lazily on
-    /// first batched evaluation (binding order = arena index order).
-    fn arena(&self) -> Arc<SummaryArena> {
-        if let Some(a) = self
-            .arena
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-        {
-            return Arc::clone(a);
-        }
-        let summaries: Vec<Arc<ProxySummary>> = self
-            .bindings
-            .keys()
-            .map(|n| self.summary(n).expect("iterating bound names"))
-            .collect();
-        let built = Arc::new(SummaryArena::build(
-            self.exec.num_processes(),
-            summaries.iter().map(|s| s.as_ref()),
-        ));
-        let mut slot = self.arena.write().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_none() {
-            *slot = Some(built);
-        }
-        Arc::clone(slot.as_ref().expect("just filled"))
-    }
-
-    fn binding_index(&self, name: &str) -> Option<usize> {
-        self.bindings.keys().position(|k| k == name)
-    }
-
-    /// The cached incremental verdict matrix over all bound events,
-    /// built lazily on first incremental evaluation.
-    fn incr_matrix(&self) -> Arc<IncrMatrix> {
-        if let Some(m) = self
-            .incr
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-        {
-            return Arc::clone(m);
-        }
-        let events: Vec<NonatomicEvent> = self.bindings.values().cloned().collect();
-        let built = Arc::new(IncrMatrix::build(self.exec, &events));
-        let mut slot = self.incr.write().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_none() {
-            *slot = Some(built);
-        }
-        Arc::clone(slot.as_ref().expect("just filled"))
-    }
-
-    /// Full 32-relation set for a bound pair via the active set kernel.
-    fn relation_set(&self, x: &str, y: &str) -> Option<RelationSet> {
-        match self.mode {
-            EvalMode::Batched => {
-                let (xi, yi) = (self.binding_index(x)?, self.binding_index(y)?);
-                Some(self.arena().eval_pair(xi, yi))
-            }
-            EvalMode::Incremental => {
-                let (xi, yi) = (self.binding_index(x)?, self.binding_index(y)?);
-                if xi == yi {
-                    let (sx, sy) = (self.summary(x)?, self.summary(y)?);
-                    return Some(Evaluator::new(self.exec).eval_all_proxy_fused(&sx, &sy).0);
-                }
-                Some(self.incr_matrix().get(xi, yi))
-            }
-            _ => {
-                let (sx, sy) = (self.summary(x)?, self.summary(y)?);
-                Some(Evaluator::new(self.exec).eval_all_proxy_fused(&sx, &sy).0)
-            }
-        }
-    }
-
-    /// Evaluate one proxy relation between bound names under the
-    /// active mode. `None` if either name is unbound.
-    fn eval_proxy_named(&self, pr: ProxyRelation, x: &str, y: &str) -> Option<bool> {
-        if self.mode == EvalMode::Counted {
-            let (sx, sy) = (self.summary(x)?, self.summary(y)?);
-            Some(Evaluator::new(self.exec).eval_proxy(pr, &sx, &sy).holds)
-        } else {
-            Some(self.relation_set(x, y)?.contains(pr))
-        }
-    }
-
-    /// Compute all bound events' proxy summaries now, on `threads`
-    /// workers (the checker's analogue of
-    /// [`synchrel_core::Detector::warm_up`]). Scheduling is the same
-    /// [`TilePartition`] the detector's sweeps use — static contiguous
-    /// name bands per worker plus a stealable tail, so skewed per-event
-    /// summary costs (node counts vary) still balance without a shared
-    /// counter on the hot path.
-    pub fn warm_up(&self, threads: usize) {
-        let names: Vec<&str> = self.bindings.keys().map(String::as_str).collect();
-        let part = TilePartition::new(names.len(), threads, 1);
-        if part.threads() == 1 {
-            for name in names {
-                let _ = self.summary(name);
-            }
-            return;
-        }
-        let names = &names;
-        part.run(vec![(); part.threads()], |_, range| {
-            for i in range {
-                let _ = self.summary(names[i]);
-            }
-        });
-    }
-
-    /// Check a whole spec with summaries warmed up on `threads` workers
-    /// and the independent requirements evaluated concurrently, on the
-    /// same [`TilePartition`] scheduler as the detector's parallel
-    /// sweeps. Each requirement's report is written into its own
-    /// [`RowSlabs`] slot, so reports come back in spec order with no
-    /// reassembly pass.
+    /// Check a whole spec with the detector warmed up first
+    /// ([`Detector::warm_up`]) and the independent requirements evaluated
+    /// concurrently on `threads` workers, on the same [`TilePartition`]
+    /// scheduler as the detector's parallel sweeps. Each requirement's
+    /// report is written into its own [`RowSlabs`] slot, so reports come
+    /// back in spec order with no reassembly pass.
     pub fn check_parallel(&self, spec: &Spec, threads: usize) -> CheckReport {
-        self.warm_up(threads);
+        self.detector.warm_up();
         let part = TilePartition::new(spec.requirements.len(), threads, 1);
         if part.threads() == 1 {
             return self.check(spec);
@@ -307,16 +153,10 @@ impl<'a> Checker<'a> {
             let slabs = &slabs;
             part.run(vec![(); part.threads()], |_, range| {
                 for i in range {
-                    let r = &spec.requirements[i];
-                    let (holds, detail) = self.eval(&r.condition);
                     // SAFETY: the partition dispatches each requirement
                     // index to exactly one worker.
                     let slot = unsafe { slabs.item_mut(i) };
-                    slot[0] = Some(ConditionReport {
-                        name: r.name.clone(),
-                        holds,
-                        detail,
-                    });
+                    slot[0] = Some(self.report(&spec.requirements[i]));
                 }
             });
         }
@@ -330,18 +170,16 @@ impl<'a> Checker<'a> {
     pub fn check(&self, spec: &Spec) -> CheckReport {
         CheckReport {
             spec: spec.name.clone(),
-            conditions: spec
-                .requirements
-                .iter()
-                .map(|r| {
-                    let (holds, detail) = self.eval(&r.condition);
-                    ConditionReport {
-                        name: r.name.clone(),
-                        holds,
-                        detail,
-                    }
-                })
-                .collect(),
+            conditions: spec.requirements.iter().map(|r| self.report(r)).collect(),
+        }
+    }
+
+    fn report(&self, r: &Requirement) -> ConditionReport {
+        let (holds, detail) = self.eval(&r.condition);
+        ConditionReport {
+            name: r.name.clone(),
+            holds,
+            detail,
         }
     }
 
@@ -357,7 +195,7 @@ impl<'a> Checker<'a> {
                 y,
             } => {
                 let pr = ProxyRelation::new(*rel, *x_proxy, *y_proxy);
-                let Some(holds) = self.eval_proxy_named(pr, x, y) else {
+                let Some(holds) = self.holds(pr, x, y) else {
                     return (false, self.unbound_detail(x, y));
                 };
                 (holds, format!("{pr} on ({x}, {y}) = {holds}"))
@@ -392,12 +230,17 @@ impl<'a> Checker<'a> {
             Condition::Mutex { events } => {
                 for i in 0..events.len() {
                     for j in i + 1..events.len() {
-                        let a = &events[i];
-                        let b = &events[j];
-                        let (ab, _) = self.eval_rel(Relation::R1, a, b);
-                        let (ba, _) = self.eval_rel(Relation::R1, b, a);
-                        if !ab && !ba {
-                            let w = self.overlap_witness(a, b);
+                        let (a, b) = (&events[i], &events[j]);
+                        let pair = match (self.index.get(a), self.index.get(b)) {
+                            (Some(&ai), Some(&bi)) => {
+                                mutex::exclusive(self.exec, &self.detector, ai, bi)
+                            }
+                            _ => Err(None),
+                        };
+                        if let Err(witness) = pair {
+                            let w = witness
+                                .map(|(x, y)| format!(" (concurrent pair: {x} ∥ {y})"))
+                                .unwrap_or_default();
                             return (false, format!("'{a}' and '{b}' are not exclusive{w}"));
                         }
                     }
@@ -421,17 +264,7 @@ impl<'a> Checker<'a> {
     }
 
     fn eval_rel(&self, rel: Relation, x: &str, y: &str) -> (bool, String) {
-        // The base relation equals the relation over the matching proxies
-        // (see crate::relations::proxy_baseline): use the event's own
-        // summaries via the proxy pair that preserves it.
-        let (xp, yp) = match rel {
-            Relation::R1 | Relation::R1p => (synchrel_core::Proxy::U, synchrel_core::Proxy::L),
-            Relation::R2 | Relation::R2p => (synchrel_core::Proxy::U, synchrel_core::Proxy::U),
-            Relation::R3 | Relation::R3p => (synchrel_core::Proxy::L, synchrel_core::Proxy::L),
-            Relation::R4 | Relation::R4p => (synchrel_core::Proxy::L, synchrel_core::Proxy::U),
-        };
-        let pr = ProxyRelation::new(rel, xp, yp);
-        let Some(holds) = self.eval_proxy_named(pr, x, y) else {
+        let Some(holds) = self.holds(ProxyRelation::canonical(rel), x, y) else {
             return (false, self.unbound_detail(x, y));
         };
         let mut detail = format!("{rel}({x}, {y}) = {holds}");
@@ -443,10 +276,10 @@ impl<'a> Checker<'a> {
 
     fn unbound_detail(&self, x: &str, y: &str) -> String {
         let mut missing = Vec::new();
-        if !self.bindings.contains_key(x) {
+        if !self.index.contains_key(x) {
             missing.push(x);
         }
-        if !self.bindings.contains_key(y) {
+        if !self.index.contains_key(y) {
             missing.push(y);
         }
         format!("unbound event(s): {missing:?}")
@@ -455,7 +288,7 @@ impl<'a> Checker<'a> {
     /// For a violated `R1(x, y)`, find a concrete pair `(a, b)` with
     /// `¬(a ≺ b)`.
     fn r1_witness(&self, x: &str, y: &str) -> String {
-        let (Some(ex), Some(ey)) = (self.bindings.get(x), self.bindings.get(y)) else {
+        let (Some(ex), Some(ey)) = (self.event(x), self.event(y)) else {
             return String::new();
         };
         for a in ex.events() {
@@ -468,26 +301,11 @@ impl<'a> Checker<'a> {
         String::new()
     }
 
-    /// For a violated mutual exclusion, exhibit a concurrent pair.
-    fn overlap_witness(&self, x: &str, y: &str) -> String {
-        let (Some(ex), Some(ey)) = (self.bindings.get(x), self.bindings.get(y)) else {
-            return String::new();
-        };
-        for a in ex.events() {
-            for b in ey.events() {
-                if self.exec.concurrent(a, b) {
-                    return format!(" (concurrent pair: {a} ∥ {b})");
-                }
-            }
-        }
-        String::new()
-    }
-
     /// Convenience: evaluate one base relation by bound names, using the
     /// naive ground truth (for cross-checks and tests).
     pub fn naive_rel(&self, rel: Relation, x: &str, y: &str) -> Option<bool> {
-        let ex = self.bindings.get(x)?;
-        let ey = self.bindings.get(y)?;
+        let ex = self.event(x)?;
+        let ey = self.event(y)?;
         Some(naive_relation(self.exec, rel, ex, ey))
     }
 }
@@ -495,11 +313,12 @@ impl<'a> Checker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synchrel_core::{EventId, ExecutionBuilder};
+    use synchrel_core::{ExecutionBuilder, Proxy};
+    use synchrel_sim::workload::{random_with_events, RandomConfig};
 
     /// Three actions: a (p0) wholly precedes b (p1); c (p2) concurrent
     /// with both.
-    fn setup() -> (Execution, Vec<(String, Vec<EventId>)>) {
+    fn setup() -> (Execution, Vec<(String, NonatomicEvent)>) {
         let mut bld = ExecutionBuilder::new(3);
         let a1 = bld.internal(0);
         let (a2, m) = bld.send(0);
@@ -508,26 +327,13 @@ mod tests {
         let c1 = bld.internal(2);
         let c2 = bld.internal(2);
         let e = bld.build().unwrap();
-        (
-            e,
-            vec![
-                ("a".into(), vec![a1, a2]),
-                ("b".into(), vec![b1, b2]),
-                ("c".into(), vec![c1, c2]),
-            ],
-        )
+        let defs = [("a", [a1, a2]), ("b", [b1, b2]), ("c", [c1, c2])]
+            .map(|(n, evs)| (n.into(), NonatomicEvent::new(&e, evs).unwrap()));
+        (e, defs.into())
     }
 
-    fn checker<'a>(e: &'a Execution, defs: &[(String, Vec<EventId>)]) -> Checker<'a> {
-        Checker::new(
-            e,
-            defs.iter().map(|(n, evs)| {
-                (
-                    n.clone(),
-                    NonatomicEvent::new(e, evs.iter().copied()).unwrap(),
-                )
-            }),
-        )
+    fn checker<'a>(e: &'a Execution, defs: &[(String, NonatomicEvent)]) -> Checker<'a> {
+        Checker::new(e, defs.iter().cloned())
     }
 
     #[test]
@@ -583,6 +389,7 @@ mod tests {
         let ch = checker(&e, &defs);
         let (h, _) = ch.eval(&Condition::mutex(["a", "b"]));
         assert!(h, "a and b are ordered");
+        assert!(ch.eval(&Condition::mutex(["b", "a"])).0, "in either order");
         let (h2, d2) = ch.eval(&Condition::mutex(["a", "c"]));
         assert!(!h2);
         assert!(d2.contains("concurrent pair"), "{d2}");
@@ -626,50 +433,82 @@ mod tests {
         }
     }
 
+    /// Every mode, sequential and parallel at 2 and 8 threads, gives the
+    /// report of the default mode; every relation condition over every
+    /// bound pair (x == y included) agrees across modes, and equals the
+    /// naive ground truth on pairs with disjoint member sets.
+    fn assert_modes_agree(e: &Execution, defs: &[(String, NonatomicEvent)], spec: &Spec) {
+        let counted = checker(e, defs);
+        let modes = [EvalMode::Fused, EvalMode::Batched, EvalMode::Incremental];
+        let others = modes.map(|mode| checker(e, defs).with_mode(mode));
+        assert_eq!(others.each_ref().map(Checker::mode), modes);
+        let base = counted.check(spec);
+        for ch in std::iter::once(&counted).chain(&others) {
+            let mode = ch.mode();
+            assert_eq!(base, ch.check(spec), "{mode:?} diverged");
+            for t in [2, 8] {
+                assert_eq!(base, ch.check_parallel(spec, t), "{mode:?} × {t}");
+            }
+        }
+        let names = counted.names();
+        for rel in Relation::ALL {
+            for &x in &names {
+                for &y in &names {
+                    let c = Condition::rel(rel, x, y);
+                    let expect = counted.eval(&c).0;
+                    for ch in &others {
+                        assert_eq!(ch.eval(&c).0, expect, "{:?} {rel}({x},{y})", ch.mode());
+                    }
+                    let (ex, ey) = (counted.event(x).unwrap(), counted.event(y).unwrap());
+                    if !ex.overlaps(ey) {
+                        assert_eq!(counted.naive_rel(rel, x, y), Some(expect), "{rel}({x},{y})");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn modes_agree_on_every_condition() {
         let (e, defs) = setup();
-        let counted = checker(&e, &defs);
-        let fused = checker(&e, &defs).with_mode(EvalMode::Fused);
-        let batched = checker(&e, &defs).with_mode(EvalMode::Batched);
-        let incr = checker(&e, &defs).with_mode(EvalMode::Incremental);
-        assert_eq!(batched.mode(), EvalMode::Batched);
         let spec = Spec::new("modes")
             .require("ordering", Condition::rel(Relation::R1, "a", "b"))
             .require("reverse", Condition::rel(Relation::R1, "b", "a"))
             .require(
                 "proxy",
-                Condition::proxy_rel(
-                    Relation::R3,
-                    synchrel_core::Proxy::L,
-                    synchrel_core::Proxy::U,
-                    "a",
-                    "b",
-                ),
+                Condition::proxy_rel(Relation::R3, Proxy::L, Proxy::U, "a", "b"),
             )
             .require("exclusion", Condition::mutex(["a", "b", "c"]))
             .require("chain", Condition::ordered(["a", "b", "c"]))
             .require("ghost", Condition::rel(Relation::R4, "a", "ghost"));
-        let base = counted.check(&spec);
-        assert_eq!(base, fused.check(&spec), "fused diverged");
-        assert_eq!(base, batched.check(&spec), "batched diverged");
-        assert_eq!(base, incr.check(&spec), "incremental diverged");
-        // Per-relation sweep across all bound pairs, including x == y.
-        for rel in Relation::ALL {
-            for x in ["a", "b", "c"] {
-                for y in ["a", "b", "c"] {
-                    let c = Condition::rel(rel, x, y);
-                    let expect = counted.eval(&c).0;
-                    assert_eq!(fused.eval(&c).0, expect, "fused {rel}({x},{y})");
-                    assert_eq!(batched.eval(&c).0, expect, "batched {rel}({x},{y})");
-                    assert_eq!(incr.eval(&c).0, expect, "incremental {rel}({x},{y})");
-                }
+        assert_modes_agree(&e, &defs, &spec);
+
+        // Seeded random executions with 12 two-node intervals, which
+        // may share member events.
+        for seed in 1..=4 {
+            let cfg = RandomConfig {
+                processes: 6,
+                events_per_process: 10,
+                seed,
+                ..Default::default()
+            };
+            let w = random_with_events(&cfg, 12, 2, 2);
+            let defs: Vec<_> = w.labels.into_iter().zip(w.events).collect();
+            let (a, p) = (|k: usize| format!("A{}", k % 12), Proxy::ALL);
+            let mut spec = Spec::new("random").require("ghost", Condition::mutex(["A0", "ghost"]));
+            for k in 0..12 {
+                let (rel, x, y) = (Relation::ALL[k % 8], a(k), a(5 * k + 3));
+                let group: Vec<String> = (0..4).map(|i| a(k + 5 * i)).collect();
+                spec = spec
+                    .require(format!("rel{k}"), Condition::rel(rel, &x, &y))
+                    .require(
+                        format!("proxy{k}"),
+                        Condition::proxy_rel(rel, p[k % 2], p[k / 2 % 2], x, y),
+                    )
+                    .require(format!("mutex{k}"), Condition::mutex(group.clone()))
+                    .require(format!("ordered{k}"), Condition::ordered(group));
             }
-        }
-        // Parallel checking under non-default modes stays deterministic.
-        for threads in [2, 8] {
-            assert_eq!(base, batched.check_parallel(&spec, threads));
-            assert_eq!(base, incr.check_parallel(&spec, threads));
+            assert_modes_agree(&w.exec, &defs, &spec);
         }
     }
 

@@ -10,14 +10,14 @@
 //!   events: any of the 8 base or 32 proxy relations, boolean
 //!   combinators, mutual exclusion, and total ordering.
 //! * [`checker`] — offline checking of a [`spec::Spec`] against a
-//!   recorded trace, with witness extraction for violated conditions.
+//!   recorded trace through one `Detector`, with violation witnesses.
 //! * [`online`] — an incremental monitor that consumes events as they
 //!   happen, maintains vector clocks and per-interval aggregates online,
 //!   and reports each condition as holding, violated, or still pending
 //!   (with early, monotonicity-aware verdicts).
 //! * [`mutex`] — the distributed-mutual-exclusion checker of the
 //!   paper's motivating application: verifies that critical-section
-//!   intervals are pairwise ordered by `R1`.
+//!   intervals are pairwise ordered by `R1` (the checker's pair test).
 //! * [`predicate`] — conjunctive global-predicate detection over local
 //!   intervals (possibly-`∧φᵢ`), solved with the condensation cut
 //!   `∪⇓S` of the interval starts.

@@ -8,10 +8,16 @@
 //! exactly when every pair of its critical sections is ordered by `R1`
 //! one way or the other — which the linear-time evaluator decides in
 //! `min(|N_A|, |N_B|)` comparisons per direction.
+//!
+//! [`check_mutual_exclusion`] and the checker's
+//! [`Condition::Mutex`](crate::Condition::Mutex) share one pair test,
+//! asked of a [`Detector`] over the sections: `R1` in both directions
+//! through [`Detector::holds`], then, for an unordered pair, a search
+//! for a concurrent member pair as the witness.
 
 use std::fmt;
 
-use synchrel_core::{Detector, EventId, Execution, NonatomicEvent, Proxy, ProxyRelation, Relation};
+use synchrel_core::{Detector, EventId, Execution, NonatomicEvent, ProxyRelation, Relation};
 
 /// A violated critical-section pair.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -85,7 +91,6 @@ pub fn check_mutual_exclusion(
     sections: &[(String, NonatomicEvent)],
 ) -> MutexReport {
     let detector = Detector::new(exec, sections.iter().map(|(_, e)| e.clone()).collect());
-    let r1 = ProxyRelation::new(Relation::R1, Proxy::U, Proxy::L);
     let mut violations = Vec::new();
     let mut comparisons = 0u64;
     let mut checked_pairs = 0usize;
@@ -94,19 +99,16 @@ pub fn check_mutual_exclusion(
             checked_pairs += 1;
             // Two directed queries; count both (the evaluator's counts
             // are deterministic worst-case bounds).
-            let fwd = detector.pair(i, j).expect("in range");
-            let bwd = detector.pair(j, i).expect("in range");
             comparisons += 2 * synchrel_core::sound_bound(
                 Relation::R1,
                 sections[i].1.node_count(),
                 sections[j].1.node_count(),
             );
-            let ordered = fwd.relations.contains(r1) || bwd.relations.contains(r1);
-            if !ordered {
+            if let Err(witness) = exclusive(exec, &detector, i, j) {
                 violations.push(MutexViolation {
                     a: sections[i].0.clone(),
                     b: sections[j].0.clone(),
-                    witness: concurrent_witness(exec, &sections[i].1, &sections[j].1),
+                    witness,
                 });
             }
         }
@@ -118,19 +120,25 @@ pub fn check_mutual_exclusion(
     }
 }
 
-fn concurrent_witness(
+/// The mutual-exclusion pair test: `Ok` when `R1` orders events `a` and
+/// `b` of `det` one way or the other, else `Err` with a concurrent
+/// member pair proving the overlap, when one exists.
+pub(crate) fn exclusive(
     exec: &Execution,
-    a: &NonatomicEvent,
-    b: &NonatomicEvent,
-) -> Option<(EventId, EventId)> {
-    for x in a.events() {
-        for y in b.events() {
-            if exec.concurrent(x, y) {
-                return Some((x, y));
-            }
-        }
+    det: &Detector<'_>,
+    a: usize,
+    b: usize,
+) -> Result<(), Option<(EventId, EventId)>> {
+    let r1 = ProxyRelation::canonical(Relation::R1);
+    let ordered = |x, y| det.holds(r1, x, y).expect("section indices in range");
+    if ordered(a, b) || ordered(b, a) {
+        return Ok(());
     }
-    None
+    let (ea, eb) = (&det.events()[a], &det.events()[b]);
+    Err(ea
+        .events()
+        .flat_map(|x| eb.events().map(move |y| (x, y)))
+        .find(|&(x, y)| exec.concurrent(x, y)))
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ const VNODES: u64 = 32;
 
 /// Consistent-hash routing of processes (via their group) to shards.
 ///
-/// The ring carries [`VNODES`] points per shard; adding shard `K+1`
+/// The ring carries `VNODES` (32) points per shard; adding shard `K+1`
 /// only inserts new points, so the assignment is **rebalance-stable**:
 /// growing the shard count moves roughly `1/(K+1)` of the groups and
 /// leaves the rest where they were.

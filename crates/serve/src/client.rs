@@ -278,6 +278,10 @@ impl<T: Transport> Client<T> {
     }
 }
 
+/// Full passes over the endpoint list before one
+/// [`FailoverClient::call`] gives up.
+const FAILOVER_ROUNDS: u32 = 8;
+
 /// A client that survives primary death on its own: it holds an
 /// **endpoint list** and rotates through it whenever the active
 /// connection stops answering, pacing reconnect attempts with the same
@@ -300,7 +304,6 @@ pub struct FailoverClient {
     next_seq: u64,
     stats: ClientStats,
     max_attempts: u32,
-    rounds: u32,
     failovers: u64,
     inner: Option<Client<StreamTransport<Conn>>>,
 }
@@ -318,7 +321,6 @@ impl FailoverClient {
             next_seq: 0,
             stats: ClientStats::default(),
             max_attempts: 64,
-            rounds: 8,
             failovers: 0,
             inner: None,
         }
@@ -333,11 +335,6 @@ impl FailoverClient {
         }
     }
 
-    /// Full passes over the endpoint list before one call gives up.
-    pub fn set_rounds(&mut self, rounds: u32) {
-        self.rounds = rounds;
-    }
-
     /// Per-connection socket read timeout.
     pub fn set_read_timeout(&mut self, timeout: Duration) {
         self.read_timeout = timeout;
@@ -347,11 +344,6 @@ impl FailoverClient {
     /// connection and moved to the next endpoint).
     pub fn failovers(&self) -> u64 {
         self.failovers
-    }
-
-    /// The endpoint the client currently favours.
-    pub fn active_endpoint(&self) -> &ListenAddr {
-        &self.endpoints[self.active]
     }
 
     /// Next request id to be issued (sequence part) — survives every
@@ -399,7 +391,7 @@ impl FailoverClient {
     /// Issue `cmd`, failing over between endpoints until a response
     /// arrives or the round budget is spent.
     pub fn call(&mut self, cmd: &Command) -> Result<Response, ClientError> {
-        let budget = self.rounds.max(1) * self.endpoints.len() as u32;
+        let budget = FAILOVER_ROUNDS * self.endpoints.len() as u32;
         let mut backoff = Backoff::new(self.seed ^ 0xFA11, 1, 64);
         let mut last = ClientError::Exhausted {
             req: make_req(self.client_id, self.next_seq),

@@ -5,10 +5,9 @@
 //! state durable:
 //!
 //! * [`proto`] — the framing (`magic | version | kind | request id |
-//!   length | payload | CRC-32`), the [`Command`](proto::Command) /
-//!   [`Response`](proto::Response) vocabulary, and an in-process duplex
-//!   [`Endpoint`](proto::Endpoint) carrying the same bytes a socket
-//!   would.
+//!   length | payload | CRC-32`), the [`Command`] / [`Response`]
+//!   vocabulary, and an in-process duplex [`Endpoint`] carrying the
+//!   same bytes a socket would.
 //! * [`wal`] — CRC-framed write-ahead-log records; a torn tail (the
 //!   debris of a crash mid-append) truncates cleanly, corruption in the
 //!   middle refuses recovery.
@@ -23,14 +22,12 @@
 //!   ids and seeded exponential backoff ([`synchrel_sim::Backoff`]);
 //!   at-least-once delivery plus server dedup yields exactly-once
 //!   application.
-//! * [`transport`] — the [`Transport`](transport::Transport)
-//!   abstraction that carries those frames over the in-process duplex,
-//!   TCP, or a Unix-domain socket, plus the incremental
-//!   [`FrameBuffer`](transport::FrameBuffer) stream decoder.
+//! * [`transport`] — the [`Transport`] abstraction that carries those
+//!   frames over the in-process duplex, TCP, or a Unix-domain socket,
+//!   plus the incremental [`FrameBuffer`] stream decoder.
 //! * [`replica`] — primary→follower WAL streaming: the follower
 //!   persists each record *before* applying it, acks by LSN, and is
-//!   promotable into a full [`Server`](server::Server) when the
-//!   primary dies.
+//!   promotable into a full [`Server`] when the primary dies.
 //! * [`backend`] — the [`Backend`] seam [`Server`] and
 //!   [`ShardedServer`] share, so one socket loop, one lockstep pump and
 //!   one chaos harness serve both.
@@ -38,11 +35,11 @@
 //!   thread-per-connection readers feeding one serving thread, in front
 //!   of either engine.
 //! * [`shard`] — the sharded serving tier: K servers (one WAL segment
-//!   and snapshot each) behind a [`ShardedServer`](shard::ShardedServer)
-//!   facade that routes ingests by consistent hash, broadcasts control
-//!   commands under client request ids, logs cross-shard coordination
-//!   as replayable per-shard commands, group-commits batches per shard
-//!   in parallel, and recovers all shards (optionally in parallel)
+//!   and snapshot each) behind a [`ShardedServer`] facade that routes
+//!   ingests by consistent hash, broadcasts control commands under
+//!   client request ids, logs cross-shard coordination as replayable
+//!   per-shard commands, group-commits batches per shard in parallel,
+//!   and recovers all shards (optionally in parallel)
 //!   into byte-identical verdicts — proven by its own per-shard-crash
 //!   chaos sweep and by the differential harness' sharded stage
 //!   ([`run_shard_differential_case`]). It is the workspace's only
@@ -56,7 +53,7 @@
 //!   byte-identical verdicts against an uninterrupted reference.
 //! * [`nemesis`] — the seeded network-nemesis sweep: wire faults
 //!   (drops, delays, duplicates, partial writes, resets, partitions)
-//!   injected via [`NemesisTransport`](transport::NemesisTransport),
+//!   injected via [`NemesisTransport`],
 //!   sound `Unknown` degradation of a cut shard with byte-identical
 //!   post-heal reconvergence, and lease-driven (no harness trigger)
 //!   primary failure detection with self-promotion.

@@ -314,7 +314,7 @@ pub struct FollowerStats {
 
 /// The replica: persists the primary's stream byte-for-byte, keeps a
 /// warm monitor by applying each record through the shared
-/// [`apply_logged`] path, and promotes via [`Server::recover`] over
+/// `apply_logged` path, and promotes via [`Server::recover`] over
 /// its own storage.
 #[derive(Debug)]
 pub struct Follower<S: Storage> {
@@ -391,11 +391,6 @@ impl<S: Storage> Follower<S> {
     /// promoted server's).
     pub fn monitor(&self) -> &OnlineMonitor {
         &self.monitor
-    }
-
-    /// The ack the follower would send right now.
-    pub fn current_ack(&self) -> Vec<u8> {
-        ack_frame(self.durable, false)
     }
 
     /// Handle one replication frame; returns the ack frame to send

@@ -261,21 +261,6 @@ impl<S: Storage> ShardedServer<S> {
         }
     }
 
-    /// Replication frames ready to ship, tagged by shard: drains up to
-    /// `burst` frames per shard this call.
-    pub fn repl_next_frames(&mut self, burst: usize) -> Vec<(usize, Vec<u8>)> {
-        let mut out = Vec::new();
-        for (i, sh) in self.shards.iter_mut().enumerate() {
-            for _ in 0..burst.max(1) {
-                match sh.repl_next_frame() {
-                    Ok(Some(f)) => out.push((i, f)),
-                    _ => break,
-                }
-            }
-        }
-        out
-    }
-
     /// Worst replication lag across shards.
     pub fn repl_lag(&self) -> u64 {
         self.shards.iter().map(Server::repl_lag).max().unwrap_or(0)

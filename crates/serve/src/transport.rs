@@ -2,11 +2,10 @@
 //! duplex, a TCP stream, or a Unix-domain socket.
 //!
 //! [`Transport`] is the narrow waist between the protocol layer and the
-//! medium. The in-process [`Endpoint`](crate::proto::Endpoint) moves
-//! whole frames through a byte queue; [`StreamTransport`] moves the
-//! identical bytes through any `Read + Write` stream, reassembling
-//! frame boundaries from the length prefix. Nothing above this module
-//! can tell the difference — which is exactly what lets the chaos
+//! medium. The in-process [`Endpoint`] moves whole frames through a
+//! byte queue; [`StreamTransport`] moves the identical bytes through
+//! any `Read + Write` stream, reassembling frame boundaries from the
+//! length prefix. Nothing above this module can tell the difference — which is exactly what lets the chaos
 //! harness drive every seed over loopback TCP and require behavioural
 //! equality with the duplex runs.
 //!
@@ -32,7 +31,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use synchrel_sim::fault::{mix, FrameFaults, NemesisPlan};
+use synchrel_sim::fault::{mix, NemesisPlan};
 
 use crate::proto::{
     frame_len_hint, Endpoint, FrameError, HEADER_LEN, MAGIC, MAX_FRAME_LEN, VERSION,
@@ -487,46 +486,6 @@ pub fn connect(
     conn.set_nodelay()?;
     conn.set_read_timeout(read_timeout)?;
     Ok(StreamTransport::new(conn))
-}
-
-/// A transport decorated with seeded send-side faults: frames may be
-/// dropped or duplicated per a deterministic [`FrameFaults`] schedule.
-/// Used to prove the retry/dedup loop survives a lossy network the
-/// same way it survives crashes.
-#[derive(Debug)]
-pub struct FaultyTransport<T: Transport> {
-    inner: T,
-    faults: FrameFaults,
-}
-
-impl<T: Transport> FaultyTransport<T> {
-    /// Wrap `inner` with the given fault schedule.
-    pub fn new(inner: T, faults: FrameFaults) -> FaultyTransport<T> {
-        FaultyTransport { inner, faults }
-    }
-
-    /// Frames dropped / duplicated so far.
-    pub fn counts(&self) -> (u64, u64) {
-        (self.faults.dropped(), self.faults.duplicated())
-    }
-}
-
-impl<T: Transport> Transport for FaultyTransport<T> {
-    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
-        use synchrel_sim::fault::FrameFate;
-        match self.faults.fate() {
-            FrameFate::Drop => Ok(()),
-            FrameFate::Duplicate => {
-                self.inner.send(frame)?;
-                self.inner.send(frame)
-            }
-            FrameFate::Deliver => self.inner.send(frame),
-        }
-    }
-
-    fn recv(&mut self) -> io::Result<Option<Vec<u8>>> {
-        self.inner.recv()
-    }
 }
 
 /// What a [`NemesisTransport`] did to the frames it carried.

@@ -399,81 +399,6 @@ pub fn random_scripts(
     sim
 }
 
-/// The fate of one frame sent through a faulty transport.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrameFate {
-    /// Deliver normally.
-    Deliver,
-    /// Drop the frame (it never reaches the peer).
-    Drop,
-    /// Deliver the frame twice (a network-level duplicate).
-    Duplicate,
-}
-
-/// Seeded per-frame fault schedule for real (socket) transports: the
-/// `i`-th frame's fate is a pure function of `(seed, i)`, so a lossy
-/// run replays byte-identically from its one `u64` seed — the same
-/// property [`FaultPlan`] gives the in-simulation network.
-#[derive(Clone, Debug)]
-pub struct FrameFaults {
-    seed: u64,
-    /// Drop roughly one frame in this many (0 = never drop).
-    drop_1_in: u64,
-    /// Duplicate roughly one frame in this many (0 = never duplicate).
-    dup_1_in: u64,
-    sent: u64,
-    dropped: u64,
-    duplicated: u64,
-}
-
-const SALT_FRAME_DROP: u64 = 0xF0D0;
-const SALT_FRAME_DUP: u64 = 0xF0D1;
-
-impl FrameFaults {
-    /// A schedule dropping ~1/`drop_1_in` and duplicating
-    /// ~1/`dup_1_in` of frames (0 disables that fault).
-    pub fn new(seed: u64, drop_1_in: u64, dup_1_in: u64) -> FrameFaults {
-        FrameFaults {
-            seed,
-            drop_1_in,
-            dup_1_in,
-            sent: 0,
-            dropped: 0,
-            duplicated: 0,
-        }
-    }
-
-    /// A schedule that never injects faults.
-    pub fn none() -> FrameFaults {
-        FrameFaults::new(0, 0, 0)
-    }
-
-    /// Decide the fate of the next frame.
-    pub fn fate(&mut self) -> FrameFate {
-        let i = self.sent;
-        self.sent += 1;
-        if self.drop_1_in > 0 && mix(self.seed, SALT_FRAME_DROP, i).is_multiple_of(self.drop_1_in) {
-            self.dropped += 1;
-            return FrameFate::Drop;
-        }
-        if self.dup_1_in > 0 && mix(self.seed, SALT_FRAME_DUP, i).is_multiple_of(self.dup_1_in) {
-            self.duplicated += 1;
-            return FrameFate::Duplicate;
-        }
-        FrameFate::Deliver
-    }
-
-    /// Frames dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Frames duplicated so far.
-    pub fn duplicated(&self) -> u64 {
-        self.duplicated
-    }
-}
-
 const SALT_NEM_DROP: u64 = 0x4E0D;
 const SALT_NEM_DUP: u64 = 0x4E0B;
 const SALT_NEM_DELAY: u64 = 0x4E0E;
@@ -767,25 +692,6 @@ mod tests {
             }
         }
         assert!(saw_symmetric && saw_directed, "seed scan too narrow");
-    }
-
-    #[test]
-    fn frame_faults_are_deterministic_and_counted() {
-        let run = |seed| {
-            let mut f = FrameFaults::new(seed, 4, 6);
-            let fates: Vec<FrameFate> = (0..64).map(|_| f.fate()).collect();
-            (fates, f.dropped(), f.duplicated())
-        };
-        let (a, dropped, duplicated) = run(11);
-        let (b, ..) = run(11);
-        assert_eq!(a, b, "same seed, same fates");
-        assert!(dropped > 0 && duplicated > 0, "faults never fired");
-        assert_eq!(
-            dropped,
-            a.iter().filter(|f| **f == FrameFate::Drop).count() as u64
-        );
-        let mut quiet = FrameFaults::none();
-        assert!((0..32).all(|_| quiet.fate() == FrameFate::Deliver));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cargo run -p synchrel-bench --example trace_analysis
 //! ```
 
-use synchrel_core::{hierarchy, Detector, Proxy, ProxyRelation, Relation};
+use synchrel_core::{hierarchy, Detector, ProxyRelation, Relation};
 use synchrel_sim::format::TraceFile;
 use synchrel_sim::workload;
 use synchrel_sim::TraceStats;
@@ -60,16 +60,7 @@ fn main() {
                 .expect("full matrix");
             let held: Vec<Relation> = Relation::ALL
                 .into_iter()
-                .filter(|&rel| {
-                    // the canonical proxy pair preserving the base relation
-                    let (xp, yp) = match rel {
-                        Relation::R1 | Relation::R1p => (Proxy::U, Proxy::L),
-                        Relation::R2 | Relation::R2p => (Proxy::U, Proxy::U),
-                        Relation::R3 | Relation::R3p => (Proxy::L, Proxy::L),
-                        Relation::R4 | Relation::R4p => (Proxy::L, Proxy::U),
-                    };
-                    rep.relations.contains(ProxyRelation::new(rel, xp, yp))
-                })
+                .filter(|&rel| rep.relations.contains(ProxyRelation::canonical(rel)))
                 .collect();
             let strongest = hierarchy::strongest(&held);
             let cell = if strongest.is_empty() {

@@ -7,7 +7,7 @@ use synchrel_core::{naive_relation, EventKind, NonatomicEvent, Relation};
 use synchrel_monitor::{mutex, Checker, Condition, OnlineMonitor, Spec, Verdict};
 use synchrel_sim::intervals::per_process_phases;
 use synchrel_sim::scenario;
-use synchrel_sim::workload::{random, RandomConfig};
+use synchrel_sim::workload::{random, random_with_events, RandomConfig};
 
 #[test]
 fn air_defence_spec_passes() {
@@ -55,6 +55,32 @@ fn air_defence_mutex_via_checker_and_module_agree() {
     );
     let (holds, _) = ch.eval(&Condition::mutex(["engage_a", "engage_b"]));
     assert_eq!(holds, rep.holds());
+
+    // Seeded random section sets, most of which overlap: both paths give
+    // the same verdict, and the checker names the report's first
+    // violation with its witness.
+    let mut violated = 0;
+    for seed in 0..16u64 {
+        let cfg = RandomConfig {
+            seed,
+            ..Default::default()
+        };
+        let w = random_with_events(&cfg, 6, 1 + seed as usize % 3, 2);
+        let sections: Vec<_> = w.labels.into_iter().zip(w.events).collect();
+        let rep = mutex::check_mutual_exclusion(&w.exec, &sections);
+        let ch = Checker::new(&w.exec, sections.iter().cloned());
+        let (holds, detail) = ch.eval(&Condition::mutex(sections.iter().map(|(n, _)| n)));
+        assert_eq!(holds, rep.holds(), "seed {seed}: {detail} / {rep}");
+        if let Some(v) = rep.violations.first() {
+            violated += 1;
+            let pair = format!("'{}' and '{}' are not exclusive", v.a, v.b);
+            let w = v
+                .witness
+                .map(|(x, y)| format!("{pair} (concurrent pair: {x} ∥ {y})"));
+            assert_eq!(detail, w.unwrap_or(pair));
+        }
+    }
+    assert!(violated > 0, "no seed produced an overlap");
 }
 
 #[test]
